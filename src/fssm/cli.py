@@ -21,7 +21,7 @@ from .allocation import (
     min_cost_allocation,
     synthesize_net,
 )
-from .errors import FssmError, LimitExceeded, TooManyAllocations
+from .errors import FssmError
 from .modelfile import ModelBundle, parse_model, render_fraction, serialize_model
 from .noninterference import check_snni
 from .opacity import RunMonitor, check_current_state_opacity, check_run_opacity
@@ -405,6 +405,14 @@ def _add_globals(p: argparse.ArgumentParser, suppress: bool):
     )
 
 
+def _command(sub, name: str, func, **kwargs) -> argparse.ArgumentParser:
+    p = sub.add_parser(name, **kwargs)
+    p.add_argument("file", help="model file (JSON)")
+    _add_globals(p, suppress=True)
+    p.set_defaults(func=func)
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="fssm", description="Flow-sensitive security analyses for cloud task nets."
@@ -413,16 +421,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_globals(top, suppress=False)
     sub = top.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
-    def command(name: str, func, **kwargs) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, **kwargs)
-        p.add_argument("file", help="model file (JSON)")
-        _add_globals(p, suppress=True)
-        p.set_defaults(func=func)
-        return p
+    _command(sub, "validate", cmd_validate, help="parse and validate a model file")
 
-    command("validate", cmd_validate, help="parse and validate a model file")
-
-    p = command("explore", cmd_explore, help="build the reachability graph")
+    p = _command(sub, "explore", cmd_explore, help="build the reachability graph")
     p.add_argument("--initial", type=int, default=0, metavar="N", help="initial marking index")
     p.add_argument("--max-states", type=int, default=None, metavar="N")
     p.add_argument("--max-depth", type=int, default=None, metavar="N")
@@ -432,30 +433,23 @@ def build_parser() -> argparse.ArgumentParser:
     check = sub.add_parser("check", help="run a property check")
     csub = check.add_subparsers(dest="check_command", required=True, metavar="PROPERTY")
 
-    def check_command(name: str, func, **kwargs) -> argparse.ArgumentParser:
-        p = csub.add_parser(name, **kwargs)
-        p.add_argument("file", help="model file (JSON)")
-        _add_globals(p, suppress=True)
-        p.set_defaults(func=func)
-        return p
-
-    p = check_command("blp", cmd_check_blp, help="Bell-LaPadula flow rules")
+    p = _command(csub, "blp", cmd_check_blp, help="Bell-LaPadula flow rules")
     p.add_argument("--static", action="store_true", help="declaration-only warnings")
     p.add_argument("--rules", metavar="CSV", help="subset of read_up,write_down,containment")
 
-    p = check_command("invariant", cmd_check_invariant, help="state predicate on all reachable states")
+    p = _command(csub, "invariant", cmd_check_invariant, help="state predicate on all reachable states")
     p.add_argument("--pred", required=True, metavar="NAME", help="state secret name from the model")
     p.add_argument("--mode", choices=("always", "never"), default="always")
 
-    p = check_command("ni", cmd_check_ni, help="SNNI noninterference")
+    p = _command(csub, "ni", cmd_check_ni, help="SNNI noninterference")
     p.add_argument("--observer", required=True, metavar="LEVEL", help="observer level or alias")
 
-    p = check_command("opacity", cmd_check_opacity, help="state or run opacity")
+    p = _command(csub, "opacity", cmd_check_opacity, help="state or run opacity")
     p.add_argument("--secret", required=True, metavar="NAME")
     p.add_argument("--obs", required=True, metavar="NAME", help="observation map name")
     p.add_argument("--kind", choices=("state", "run"), default=None)
 
-    p = command("allocate", cmd_allocate, help="workflow-to-cloud allocation")
+    p = _command(sub, "allocate", cmd_allocate, help="workflow-to-cloud allocation")
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--enumerate", action="store_true", help="list all valid allocations")
     mode.add_argument("--min-cost", action="store_true", help="cheapest valid allocation (default)")
@@ -476,16 +470,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2
     try:
         return args.func(args)
-    except UsageError as e:
-        print(f"fssm: error: {e}", file=sys.stderr)
-        return 2
-    except (TooManyAllocations, LimitExceeded) as e:
-        print(f"fssm: error: {e}", file=sys.stderr)
-        return 2
-    except FssmError as e:
-        print(f"fssm: error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+    except (FssmError, OSError) as e:
         print(f"fssm: error: {e}", file=sys.stderr)
         return 2
 

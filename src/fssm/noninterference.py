@@ -14,7 +14,8 @@ from typing import Mapping, Optional
 
 from .errors import FssmError, UnmappedTransition
 from .lattice import is_identifier
-from .model import FssmNet, without_transitions
+from .model import FssmNet
+from .policy import _replay_markings
 from .statespace import ExploreLimits, ReachabilityGraph, explore
 
 SILENT = None
@@ -96,21 +97,20 @@ class FiniteAutomaton:
         )
 
 
-def graph_adjacency(g: ReachabilityGraph, obs: ObsMap):
-    """Per-state silent successors and (symbol, dst, transition) successors."""
-    silent = [[] for _ in g.states]
-    labeled = [[] for _ in g.states]
-    for e in g.edges:
-        sym = obs.symbol_of(e.transition)
-        if sym is None:
-            silent[e.src].append(e.dst)
-        else:
-            labeled[e.src].append((sym, e.dst, e.transition))
-    return silent, labeled
+def graph_adjacency(n_states: int, edges, obs: ObsMap):
+    """Per-state (symbol or None, dst, transition) lists in edge order.
+
+    ``edges`` are reachability-graph edges, or edges of a product built on
+    them: anything with ``src``, ``transition`` and ``dst``.
+    """
+    rows = [[] for _ in range(n_states)]
+    for e in edges:
+        rows[e.src].append((obs.symbol_of(e.transition), e.dst, e.transition))
+    return rows
 
 
-def subset_construction(silent, labeled, initial_set):
-    """Deterministic estimator of a silent/labeled graph.
+def subset_construction(rows, initial_set):
+    """Deterministic estimator of an adjacency from ``graph_adjacency``.
 
     Returns macro-state sets in BFS discovery order (symbols expanded
     sorted), the (macro, symbol) -> macro map, and per-macro parent
@@ -122,8 +122,8 @@ def subset_construction(silent, labeled, initial_set):
         acc = set(seed)
         while todo:
             s = todo.pop()
-            for dst in silent[s]:
-                if dst not in acc:
+            for sym, dst, _ in rows[s]:
+                if sym is None and dst not in acc:
                     acc.add(dst)
                     todo.append(dst)
         return frozenset(acc)
@@ -137,8 +137,9 @@ def subset_construction(silent, labeled, initial_set):
     while i < len(macros):
         targets: dict[str, set] = {}
         for s in macros[i]:
-            for sym, dst, _ in labeled[s]:
-                targets.setdefault(sym, set()).add(dst)
+            for sym, dst, _ in rows[s]:
+                if sym is not None:
+                    targets.setdefault(sym, set()).add(dst)
         for sym in sorted(targets):
             t = closure(targets[sym])
             j = index.get(t)
@@ -152,14 +153,17 @@ def subset_construction(silent, labeled, initial_set):
     return macros, delta, parents
 
 
-def project(g: ReachabilityGraph, obs: ObsMap) -> FiniteAutomaton:
-    """Deterministic automaton of g's observation language (prefix-closed)."""
-    silent, labeled = graph_adjacency(g, obs)
-    macros, delta, _ = subset_construction(silent, labeled, {0} if g.states else set())
+def _automaton(rows) -> FiniteAutomaton:
+    macros, delta, _ = subset_construction(rows, {0} if rows else set())
     alphabet = tuple(sorted({sym for (_, sym) in delta}))
     return FiniteAutomaton(
         n_states=len(macros), alphabet=alphabet, transitions=delta, initial=0
     )
+
+
+def project(g: ReachabilityGraph, obs: ObsMap) -> FiniteAutomaton:
+    """Deterministic automaton of g's observation language (prefix-closed)."""
+    return _automaton(graph_adjacency(len(g.states), g.edges, obs))
 
 
 def language_diff_witness(
@@ -209,14 +213,18 @@ def check_snni(
     High transitions (clearance not below the observer) are always silent;
     low ones show as their own id, optionally renamed through ``symbols``
     (a None entry there is ignored, visibility comes from the lattice
-    alone).  A truncated exploration yields a bounded verdict.
+    alone).  The net is explored once: since low transitions are never
+    silent, the purged net's graph is the explored graph without its silent
+    edges.  A truncated exploration yields a bounded verdict; there a
+    candidate witness is reported only when low transitions alone cannot
+    spell it from the initial marking (replayed on the net), so it is
+    real, though shortest only within the explored part.
     """
     lat = net.lattice
     lat.check_level(observer_level)
-    high = {t.id for t in net.transitions if not lat.leq(t.clearance, observer_level)}
     assignment: dict[str, Optional[str]] = {}
     for t in net.transitions:
-        if t.id in high:
+        if not lat.leq(t.clearance, observer_level):
             assignment[t.id] = SILENT
         else:
             ren = symbols.get(t.id) if symbols else None
@@ -225,10 +233,10 @@ def check_snni(
         entries=tuple(sorted(assignment.items())),
         provenance=f"derived_from({observer_level})",
     )
-    g_full = explore(net, limits)
-    g_purged = explore(without_transitions(net, high), limits)
-    a = project(g_full, obs)
-    b = project(g_purged, obs)
+    g = explore(net, limits)
+    rows = graph_adjacency(len(g.states), g.edges, obs)
+    a = _automaton(rows)
+    b = _automaton([[r for r in row if r[0] is not None] for row in rows])
     backwards = language_diff_witness(b, a)
     if backwards is not None:
         raise FssmError(
@@ -236,8 +244,8 @@ def check_snni(
             f"(witness {' '.join(backwards)})"
         )
     witness = language_diff_witness(a, b)
-    return NIVerdict(
-        holds=witness is None,
-        witness=witness,
-        bounded=g_full.truncated or g_purged.truncated,
-    )
+    if witness is not None and g.truncated:
+        steps = [{tid for tid, sym in assignment.items() if sym == w} for w in witness]
+        if _replay_markings(net, steps, g.initial_index):
+            witness = None
+    return NIVerdict(holds=witness is None, witness=witness, bounded=g.truncated)

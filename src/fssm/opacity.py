@@ -8,13 +8,12 @@ oracle is provided for acyclic graphs; it is exact or it refuses.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Mapping, Optional, Union
 
 from .errors import CyclicGraph, DepthTooSmall, FssmError, UnresolvedReference
 from .model import FssmNet
-from .noninterference import ObsMap, subset_construction
+from .noninterference import ObsMap, graph_adjacency, subset_construction
 from .policy import PredicateExpr
 from .statespace import ReachabilityGraph
 
@@ -94,77 +93,65 @@ class ObserverAutomaton:
         return tuple(reversed(path))
 
 
-def _adjacency(n_states, edges, obs: ObsMap):
-    """Per-state (symbol or None, dst, transition) lists in edge order."""
-    merged = [[] for _ in range(n_states)]
-    for src, tid, dst in edges:
-        merged[src].append((obs.symbol_of(tid), dst, tid))
-    return merged
-
-
-def _split(merged):
-    silent = [[d for sym, d, _ in row if sym is None] for row in merged]
-    labeled = [[(sym, d, t) for sym, d, t in row if sym is not None] for row in merged]
-    return silent, labeled
-
-
-def build_observer(g: ReachabilityGraph, obs: ObsMap) -> ObserverAutomaton:
-    merged = _adjacency(
-        len(g.states), ((e.src, e.transition, e.dst) for e in g.edges), obs
-    )
-    silent, labeled = _split(merged)
-    macros, delta, parents = subset_construction(silent, labeled, {0})
+def _observer(rows) -> ObserverAutomaton:
+    macros, delta, parents = subset_construction(rows, {0})
     return ObserverAutomaton(
         macro_states=tuple(macros), edges=delta, parents=tuple(parents), initial=0
     )
 
 
-def _example_run(merged, witness, targets) -> tuple[str, ...]:
-    """Lexicographically least shortest run realizing the witness into a
-    target state (edges expanded in canonical per-state order)."""
-    start = (0, 0)
+def build_observer(g: ReachabilityGraph, obs: ObsMap) -> ObserverAutomaton:
+    return _observer(graph_adjacency(len(g.states), g.edges, obs))
+
+
+def _example_run(rows, witness, targets) -> tuple[str, ...]:
+    """Shortest run realizing the witness into a target state, least by its
+    tuple of transition ids among the shortest.
+
+    Layered BFS over (state, symbols read) nodes, keeping per node the least
+    run of the layer that first reaches it: a least shortest run extends a
+    least shortest run of its prefix's node.
+    """
     goal = len(witness)
-    parent: dict = {start: None}
-    queue = deque([start])
-    while queue:
-        node = queue.popleft()
-        s, k = node
-        if k == goal and s in targets:
-            run = []
-            while parent[node] is not None:
-                node, tid = parent[node]
-                run.append(tid)
-            return tuple(reversed(run))
-        for sym, dst, tid in merged[s]:
-            if sym is None:
-                nxt = (dst, k)
-            elif k < goal and sym == witness[k]:
-                nxt = (dst, k + 1)
-            else:
-                continue
-            if nxt not in parent:
-                parent[nxt] = (node, tid)
-                queue.append(nxt)
+    layer = {(0, 0): ()}
+    seen = set(layer)
+    while layer:
+        done = [run for (s, k), run in layer.items() if k == goal and s in targets]
+        if done:
+            return min(done)
+        nxt: dict = {}
+        for (s, k), run in layer.items():
+            for sym, dst, tid in rows[s]:
+                if sym is None:
+                    node = (dst, k)
+                elif k < goal and sym == witness[k]:
+                    node = (dst, k + 1)
+                else:
+                    continue
+                if node in seen:
+                    continue
+                run2 = run + (tid,)
+                if node not in nxt or run2 < nxt[node]:
+                    nxt[node] = run2
+        seen.update(nxt)
+        layer = nxt
     raise FssmError("internal: witness observation has no realizing run")
 
 
-def _estimate(n_states, edges, obs, secret_flags, label):
-    """Shared estimator core: find the first all-secret macro-state."""
-    merged = _adjacency(n_states, edges, obs)
-    silent, labeled = _split(merged)
-    macros, delta, parents = subset_construction(silent, labeled, {0})
-    observer = ObserverAutomaton(
-        macro_states=tuple(macros), edges=delta, parents=tuple(parents), initial=0
-    )
+def _estimate(rows, secret_flags, keys, label):
+    """Shared estimator core: find the first all-secret macro-state.
+
+    ``keys[i]`` orders node ``i`` in ``exposed`` and ``label`` renders it.
+    """
+    observer = _observer(rows)
     for idx, macro in enumerate(observer.macro_states):
         if all(secret_flags[s] for s in macro):
             witness = observer.observation_to(idx)
-            run = _example_run(merged, witness, macro)
             return OpacityVerdict(
                 opaque=False,
                 witness=witness,
-                exposed=tuple(label(s) for s in sorted(macro)),
-                example_secret_run=run,
+                exposed=tuple(label(k) for k in sorted(keys[s] for s in macro)),
+                example_secret_run=_example_run(rows, witness, macro),
             )
     return OpacityVerdict(opaque=True)
 
@@ -176,10 +163,9 @@ def check_current_state_opacity(
     secret.validate(net)
     flags = [secret.eval(net, m) for m in g.states]
     return _estimate(
-        len(g.states),
-        [(e.src, e.transition, e.dst) for e in g.edges],
-        obs,
+        graph_adjacency(len(g.states), g.edges, obs),
         flags,
+        range(len(g.states)),
         lambda s: f"s{s}",
     )
 
@@ -212,15 +198,14 @@ def check_run_opacity(
                 j = len(nodes)
                 index[node] = j
                 nodes.append(node)
-            edges.append((i, e.transition, j))
+            edges.append(e._replace(src=i, dst=j))
         i += 1
     flags = [q in monitor.accepting for _, q in nodes]
     return _estimate(
-        len(nodes),
-        edges,
-        obs,
+        graph_adjacency(len(nodes), edges, obs),
         flags,
-        lambda p: f"s{nodes[p][0]}|{nodes[p][1]}",
+        nodes,
+        lambda node: f"s{node[0]}|{node[1]}",
     )
 
 
@@ -235,8 +220,10 @@ def brute_force_opacity(
 
     Enumerates every firing sequence (including the empty one), groups by
     observation, and reports non-opacity iff some group is entirely
-    secret.  Witness and example run follow the same shortest-then-
-    lexicographic rule as the estimator, so results are comparable.
+    secret.  As in the estimator, the witness is the shortest such
+    observation, least by its symbols; the example run is the shortest run
+    producing it, least by its transition ids; exposed lists the group's
+    final states by state (then monitor state), so results compare exactly.
     """
     if depth < 1:
         raise FssmError("depth must be positive")

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Optional
 
 from .errors import FssmError, UnresolvedReference
 from .lattice import is_identifier
@@ -380,16 +380,14 @@ def static_blp_check(net: FssmNet, cfg: BlpConfig | None = None) -> PolicyReport
 # dynamic BLP
 
 
-def _edge_flow(net: FssmNet, states, memo, edge) -> FlowRecord:
-    """FlowRecord of an explored edge, matched by binding digest."""
-    bindings = memo.get(edge.src)
-    if bindings is None:
-        bindings = {
-            (b.transition, b.digest): b for b in enabled_bindings(net, states[edge.src])
-        }
-        memo[edge.src] = bindings
-    b = bindings[(edge.transition, edge.binding)]
-    _, flow = fire(net, states[edge.src], b)
+def _edge_flow(net: FssmNet, m: Marking, edge) -> FlowRecord:
+    """FlowRecord of an explored edge, fired from its source marking ``m``."""
+    b = next(
+        b
+        for b in enabled_bindings(net, m)
+        if b.transition == edge.transition and b.digest == edge.binding
+    )
+    _, flow = fire(net, m, b)
     return flow
 
 
@@ -443,11 +441,19 @@ def dynamic_blp_check(
     """
     cfg = cfg or BlpConfig()
     g = graph if graph is not None else explore(net, limits)
-    memo: dict = {}
+    # The binding kept for a digest is the first arc arrangement of its
+    # multiset in product order over sorted tokens; feasibility and patterns
+    # depend on the multiset alone, so the binding, its flow and the detail
+    # texts do not depend on the marking: one firing per (transition, digest).
+    hits: dict[tuple[str, str], tuple] = {}
     found: dict[tuple, Violation] = {}
     for e in g.edges:
-        flow = _edge_flow(net, g.states, memo, e)
-        for kind, detail in _flow_violations(net, cfg, e.transition, flow):
+        kinds = hits.get((e.transition, e.binding))
+        if kinds is None:
+            flow = _edge_flow(net, g.states[e.src], e)
+            kinds = tuple(_flow_violations(net, cfg, e.transition, flow))
+            hits[(e.transition, e.binding)] = kinds
+        for kind, detail in kinds:
             key = (e.transition, kind)
             v = found.get(key)
             if v is None:
@@ -528,24 +534,23 @@ def check_invariant(
 # witness replay
 
 
-def _replay_markings(net: FssmNet, witness, initial: int) -> Iterable[list[Marking]]:
-    """Yield marking sequences realizing the witness (binding choice search)."""
-
-    def walk(m: Marking, k: int, acc: list[Marking]):
-        if k == len(witness):
-            yield acc
-            return
-        for b in enabled_bindings(net, m):
-            if b.transition != witness[k]:
-                continue
-            try:
-                m2, _ = fire(net, m, b)
-            except FssmError:
-                continue
-            yield from walk(m2, k + 1, acc + [m2])
-
-    start = net.initials[initial]
-    yield from walk(start, 0, [start])
+def _replay_markings(net: FssmNet, steps, initial: int) -> list[Marking]:
+    """Distinct markings reached from the initial marking by firing, step by
+    step, a binding of a transition in that step's allowed set."""
+    frontier = [net.initials[initial]]
+    for allowed in steps:
+        reached: dict[Marking, None] = {}
+        for m in frontier:
+            for b in enabled_bindings(net, m):
+                if b.transition not in allowed:
+                    continue
+                try:
+                    m2, _ = fire(net, m, b)
+                except FssmError:
+                    continue
+                reached[m2] = None
+        frontier = list(reached)
+    return frontier
 
 
 def replay_witness(
@@ -566,15 +571,14 @@ def replay_witness(
         if p is None:
             raise FssmError("replaying an invariant violation needs the predicate")
         want = mode == "always"
-        for seq in _replay_markings(net, v.witness, initial):
-            if p.eval(net, seq[-1]) != want:
+        for m in _replay_markings(net, [{t} for t in v.witness], initial):
+            if p.eval(net, m) != want:
                 return True
         return False
     if not v.witness or v.witness[-1] != v.transition:
         return False
     prefix, last = v.witness[:-1], v.witness[-1]
-    for seq in _replay_markings(net, prefix, initial):
-        m = seq[-1]
+    for m in _replay_markings(net, [{t} for t in prefix], initial):
         for b in enabled_bindings(net, m):
             if b.transition != last:
                 continue

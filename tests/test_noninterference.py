@@ -273,3 +273,53 @@ def test_snni_bijective_renaming():
                 renamed_witnesses += 1
                 assert renamed.witness == tuple(rename[s] for s in base.witness)
     assert renamed_witnesses >= 2
+
+
+def _accepts(a, word):
+    state = a.initial
+    for sym in word:
+        state = a.transitions.get((state, sym))
+        if state is None:
+            return False
+    return True
+
+
+def test_snni_truncated_never_raises_or_invents_a_leak():
+    # a truncated graph can lose purged states the full exploration would
+    # reach; a reported witness must still be a real leak
+    rng = random.Random(5)
+    checks = violations = 0
+    for _ in range(400):
+        net, g = random_net(rng, acyclic=False)
+        if len(g.states) < 4:
+            continue
+        for level in net.lattice.levels:
+            full = check_snni(net, level)
+            high = [t.id for t in net.transitions if not net.lattice.leq(t.clearance, level)]
+            purged = without_transitions(net, high)
+            lang_full = project(g, derive_obs(net, level))
+            lang_purged = project(explore(purged), derive_obs(purged, level))
+            for max_states in range(1, len(g.states)):
+                v = check_snni(net, level, limits=ExploreLimits(max_states=max_states))
+                checks += 1
+                assert v.bounded
+                if not v.holds:
+                    violations += 1
+                    assert not full.holds
+                    assert _accepts(lang_full, v.witness)
+                    assert not _accepts(lang_purged, v.witness)
+    assert checks >= 1000 and violations >= 10
+
+
+def test_snni_explores_once(net3, monkeypatch):
+    import fssm.noninterference as ni
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return explore(*args, **kwargs)
+
+    monkeypatch.setattr(ni, "explore", counting)
+    assert not check_snni(net3, "Public").holds
+    assert len(calls) == 1

@@ -284,22 +284,25 @@ def _verdict_tuple(v):
 
 
 def test_estimator_matches_brute_force():
-    rng = random.Random(909)
-    opaque = 0
-    for _ in range(150):
-        net, g = random_net(rng, acyclic=True)
-        obs = random_obs(rng, net)
-        depth = len(g.states) + 1
-        secret = random_state_secret(rng, net)
-        got = check_current_state_opacity(g, net, obs, secret)
-        want = brute_force_opacity(g, net, obs, secret, depth)
-        assert _verdict_tuple(got) == _verdict_tuple(want)
-        mon = random_monitor(rng, net)
-        got_r = check_run_opacity(g, net, obs, mon)
-        want_r = brute_force_opacity(g, net, obs, mon, depth)
-        assert _verdict_tuple(got_r) == _verdict_tuple(want_r)
-        opaque += got.opaque + got_r.opaque
-    assert 0 < opaque < 300  # both verdicts exercised
+    # seed 126 draws ties on the example run's order and run-opacity
+    # exposed sets whose product-node order is not (state, monitor state)
+    for seed in (909, 126):
+        rng = random.Random(seed)
+        opaque = 0
+        for _ in range(150):
+            net, g = random_net(rng, acyclic=True)
+            obs = random_obs(rng, net)
+            depth = len(g.states) + 1
+            secret = random_state_secret(rng, net)
+            got = check_current_state_opacity(g, net, obs, secret)
+            want = brute_force_opacity(g, net, obs, secret, depth)
+            assert _verdict_tuple(got) == _verdict_tuple(want)
+            mon = random_monitor(rng, net)
+            got_r = check_run_opacity(g, net, obs, mon)
+            want_r = brute_force_opacity(g, net, obs, mon, depth)
+            assert _verdict_tuple(got_r) == _verdict_tuple(want_r)
+            opaque += got.opaque + got_r.opaque
+        assert 0 < opaque < 300  # both verdicts exercised
 
 
 def test_witness_and_run_agree_on_corpus():

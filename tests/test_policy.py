@@ -317,3 +317,23 @@ def test_replay_on_corpus():
             assert replay_witness(net, v), (net, v)
             replayed += 1
     assert replayed > 10
+
+
+def test_dynamic_blp_fires_once_per_binding(monkeypatch):
+    import fssm.policy as policy
+    from fssm.corpus import bench_counter_net
+    from fssm.statespace import fire
+
+    net = bench_counter_net(counters=2, bound=5)
+    g = explore(net)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return fire(*args)
+
+    monkeypatch.setattr(policy, "fire", counting)
+    rep = dynamic_blp_check(net, graph=g)
+    assert len(g.edges) == 60
+    assert 0 < len(calls) <= len({(e.transition, e.binding) for e in g.edges})
+    assert rep.verdict == "holds"
