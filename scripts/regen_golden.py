@@ -2,8 +2,10 @@
 """Regenerate the golden CLI outputs under tests/golden/.
 
 Run from anywhere; paths inside reports stay relative because the CLI is
-invoked with the fixtures directory as the working directory.  Review the
-diff before committing: these files define the frozen observable surface.
+invoked with the fixtures directory as the working directory.  The cases
+are ``tests/test_cli.py``'s ``GOLDEN_CASES`` (importing it needs pytest).
+Review the diff before committing: these files define the frozen observable
+surface.
 """
 
 import io
@@ -14,95 +16,20 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "tests"))
 
 from fssm.cli import main  # noqa: E402
 from fssm.modelfile import parse_model, serialize_model  # noqa: E402
+from test_cli import GOLDEN_CASES  # noqa: E402  (golden file, exit code, argv)
 
 FIXTURES = ROOT / "tests" / "fixtures"
 GOLDEN = ROOT / "tests" / "golden"
-
-# (golden file, expected exit code, argv)
-CASES = [
-    ("validate_net1.json", 0, ["validate", "net1.json", "--format", "json"]),
-    ("validate_net1.txt", 0, ["validate", "net1.json"]),
-    ("explore_net1.json", 0, ["explore", "net1.json", "--format", "json"]),
-    ("explore_net1.dot", 0, ["explore", "net1.json", "--dot", "-"]),
-    (
-        "explore_net1_markings.dot",
-        0,
-        ["explore", "net1.json", "--dot", "-", "--show-markings"],
-    ),
-    ("blp_net3.json", 1, ["check", "blp", "net3.json", "--format", "json"]),
-    ("blp_net3.txt", 1, ["check", "blp", "net3.json"]),
-    ("blp_leak.json", 1, ["check", "blp", "net1_leak.json", "--format", "json"]),
-    (
-        "blp_static_net3.json",
-        1,
-        ["check", "blp", "net3.json", "--static", "--format", "json"],
-    ),
-    (
-        "blp_rules_contain.json",
-        0,
-        ["check", "blp", "net3.json", "--rules", "containment", "--format", "json"],
-    ),
-    (
-        "invariant_never.json",
-        1,
-        [
-            "check", "invariant", "net1.json",
-            "--pred", "sec_p2", "--mode", "never", "--format", "json",
-        ],
-    ),
-    (
-        "invariant_always.json",
-        0,
-        [
-            "check", "invariant", "net1.json",
-            "--pred", "p1_small", "--mode", "always", "--format", "json",
-        ],
-    ),
-    ("ni_net2.json", 0, ["check", "ni", "net2.json", "--observer", "Public", "--format", "json"]),
-    ("ni_net3.json", 1, ["check", "ni", "net3.json", "--observer", "low", "--format", "json"]),
-    ("ni_net3.txt", 1, ["check", "ni", "net3.json", "--observer", "low"]),
-    (
-        "opacity_state.json",
-        1,
-        [
-            "check", "opacity", "net1.json",
-            "--secret", "sec_p2", "--obs", "u_map", "--format", "json",
-        ],
-    ),
-    (
-        "opacity_silent.json",
-        0,
-        [
-            "check", "opacity", "net1.json",
-            "--secret", "sec_p2", "--obs", "silent", "--format", "json",
-        ],
-    ),
-    (
-        "opacity_run.json",
-        1,
-        [
-            "check", "opacity", "net1.json",
-            "--secret", "mon_up", "--obs", "u_map", "--format", "json",
-        ],
-    ),
-    ("allocate_wf1.json", 0, ["allocate", "wf1.json", "--format", "json"]),
-    ("allocate_wf1.txt", 0, ["allocate", "wf1.json"]),
-    ("allocate_enum.json", 0, ["allocate", "wf1.json", "--enumerate", "--format", "json"]),
-    (
-        "emit_net.json",
-        0,
-        ["allocate", "wf1.json", "--emit-net", "-", "--format", "json"],
-    ),
-]
 
 
 def regen() -> None:
     GOLDEN.mkdir(exist_ok=True)
     os.chdir(FIXTURES)
-    for name, want_code, argv in CASES:
+    for name, want_code, argv in GOLDEN_CASES:
         buf = io.StringIO()
         with redirect_stdout(buf):
             code = main(argv)

@@ -108,19 +108,9 @@ class Marking:
         self._entries = tuple(entries)
         self._hash = hash(self._entries)
 
-    @classmethod
-    def _from_entries(cls, entries) -> "Marking":
-        m = object.__new__(cls)
-        object.__setattr__(m, "_entries", entries)
-        object.__setattr__(m, "_hash", hash(entries))
-        return m
-
     @property
     def entries(self):
         return self._entries
-
-    def place_ids(self) -> tuple[str, ...]:
-        return tuple(pid for pid, _ in self._entries)
 
     def tokens_at(self, pid: str) -> tuple[tuple[DataToken, int], ...]:
         for p, packed in self._entries:
@@ -162,9 +152,6 @@ def marking_of(contents: Mapping[str, Iterable[tuple[str, str, int]]]) -> Markin
             for pid, tokens in contents.items()
         }
     )
-
-
-EMPTY_MARKING = Marking({})
 
 
 @dataclass(frozen=True)

@@ -91,11 +91,6 @@ class FiniteAutomaton:
     transitions: Mapping[tuple[int, str], int]
     initial: int = 0
 
-    def out(self, state: int) -> list[tuple[str, int]]:
-        return sorted(
-            (sym, dst) for (src, sym), dst in self.transitions.items() if src == state
-        )
-
 
 def graph_adjacency(n_states: int, edges, obs: ObsMap):
     """Per-state (symbol or None, dst, transition) lists in edge order.

@@ -8,6 +8,7 @@ Violations carry shortest witness paths and replay against the net.
 from __future__ import annotations
 
 import operator
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -15,7 +16,6 @@ from .errors import FssmError, UnresolvedReference
 from .lattice import is_identifier
 from .model import FssmNet, Marking
 from .statespace import (
-    Binding,
     ExploreLimits,
     FlowRecord,
     GraphStats,
@@ -23,6 +23,7 @@ from .statespace import (
     enabled_bindings,
     explore,
     fire,
+    flow_of,
 )
 
 VERDICT_HOLDS = "holds"
@@ -380,17 +381,6 @@ def static_blp_check(net: FssmNet, cfg: BlpConfig | None = None) -> PolicyReport
 # dynamic BLP
 
 
-def _edge_flow(net: FssmNet, m: Marking, edge) -> FlowRecord:
-    """FlowRecord of an explored edge, fired from its source marking ``m``."""
-    b = next(
-        b
-        for b in enabled_bindings(net, m)
-        if b.transition == edge.transition and b.digest == edge.binding
-    )
-    _, flow = fire(net, m, b)
-    return flow
-
-
 def _flow_violations(net: FssmNet, cfg: BlpConfig, t_id: str, flow: FlowRecord):
     """Yield (kind, detail) pairs for one firing."""
     lat = net.lattice
@@ -435,45 +425,37 @@ def dynamic_blp_check(
 ) -> PolicyReport:
     """Explore the net and evaluate the BLP rules on every firing.
 
-    Edges come out of the graph in breadth-first order, so the first hit
-    per (transition, kind) carries a shortest witness; later hits only
-    increment its count.
+    Each edge's flow comes from the binding the graph names for its
+    (transition, digest), so nothing is fired; a given ``graph`` must come
+    from ``explore``, which names them.  Edges come out of the graph
+    in breadth-first order, so the first hit per (transition, kind) carries
+    a shortest witness; later hits only add to its count.
     """
     cfg = cfg or BlpConfig()
     g = graph if graph is not None else explore(net, limits)
-    # The binding kept for a digest is the first arc arrangement of its
-    # multiset in product order over sorted tokens; feasibility and patterns
-    # depend on the multiset alone, so the binding, its flow and the detail
-    # texts do not depend on the marking: one firing per (transition, digest).
-    hits: dict[tuple[str, str], tuple] = {}
-    found: dict[tuple, Violation] = {}
+    kinds_of: dict[tuple[str, str], tuple] = {}
+    first: dict[tuple[str, str], tuple] = {}  # (transition, kind) -> (edge, detail)
+    hits: Counter = Counter()
     for e in g.edges:
-        kinds = hits.get((e.transition, e.binding))
+        key = (e.transition, e.binding)
+        kinds = kinds_of.get(key)
         if kinds is None:
-            flow = _edge_flow(net, g.states[e.src], e)
-            kinds = tuple(_flow_violations(net, cfg, e.transition, flow))
-            hits[(e.transition, e.binding)] = kinds
+            flow = flow_of(net, g.bindings[key])
+            kinds = kinds_of[key] = tuple(_flow_violations(net, cfg, e.transition, flow))
         for kind, detail in kinds:
-            key = (e.transition, kind)
-            v = found.get(key)
-            if v is None:
-                found[key] = Violation(
-                    kind=kind,
-                    transition=e.transition,
-                    state=e.dst,
-                    witness=g.path_to(e.src) + (e.transition,),
-                    detail=detail,
-                )
-            else:
-                found[key] = Violation(
-                    kind=v.kind,
-                    transition=v.transition,
-                    state=v.state,
-                    witness=v.witness,
-                    detail=v.detail,
-                    count=v.count + 1,
-                )
-    violations = tuple(found[k] for k in sorted(found, key=lambda k: (k[0], k[1])))
+            first.setdefault((e.transition, kind), (e, detail))
+            hits[(e.transition, kind)] += 1
+    violations = tuple(
+        Violation(
+            kind=kind,
+            transition=t_id,
+            state=e.dst,
+            witness=g.path_to(e.src) + (t_id,),
+            detail=detail,
+            count=hits[(t_id, kind)],
+        )
+        for (t_id, kind), (e, detail) in sorted(first.items())
+    )
     return PolicyReport(
         verdict=_verdict(violations, g.truncated),
         violations=violations,
@@ -497,29 +479,18 @@ def check_invariant(
         raise FssmError(f"invariant mode must be 'always' or 'never', got {mode!r}")
     p.validate(net)
     want = mode == "always"
-    first: Violation | None = None
-    hits = 0
-    for i, m in enumerate(g.states):
-        if p.eval(net, m) != want:
-            hits += 1
-            if first is None:
-                first = Violation(
-                    kind="invariant",
-                    transition=None,
-                    state=i,
-                    witness=g.path_to(i),
-                    detail=f"{mode} {p.render()} fails at state {i}",
-                )
+    failing = [i for i, m in enumerate(g.states) if p.eval(net, m) != want]
     violations = ()
-    if first is not None:
+    if failing:
+        i = failing[0]
         violations = (
             Violation(
-                kind=first.kind,
+                kind="invariant",
                 transition=None,
-                state=first.state,
-                witness=first.witness,
-                detail=first.detail,
-                count=hits,
+                state=i,
+                witness=g.path_to(i),
+                detail=f"{mode} {p.render()} fails at state {i}",
+                count=len(failing),
             ),
         )
     return PolicyReport(

@@ -2,8 +2,10 @@
 
 ``enabled_bindings`` and ``fire`` are the readable reference semantics over
 ``Marking`` values.  ``explore`` runs the same semantics through a compiled
-integer representation so desk-scale graphs (1e5 states) stay fast; the two
-paths share the binding digest format and are cross-checked in the tests.
+integer representation so desk-scale graphs (1e5 states) stay fast.  Its
+token numbering follows ``DataToken`` order, so it enumerates bindings in the
+reference order and names, for each (transition, digest) on an edge, the very
+``Binding`` the reference keeps; the tests cross-check both paths.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Iterable, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import CapacityExceeded, FssmError, LimitExceeded, NotEnabled
 from .model import ArcIn, DataToken, FssmNet, Marking, TaskTransition, WILDCARD
@@ -77,6 +79,10 @@ class ReachabilityGraph:
     initial_index: int
     parent_edge: tuple[int, ...] = field(repr=False)  # discovery edge per state, -1 at root
     depths: tuple[int, ...] = field(repr=False)
+    # reference Binding behind each (transition, digest) labelling an edge
+    bindings: Mapping[tuple[str, str], Binding] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     @property
     def stats(self) -> GraphStats:
@@ -154,12 +160,11 @@ def _feasible(m: Marking, choices) -> bool:
 
 
 def fire(net: FssmNet, m: Marking, b: Binding) -> tuple[Marking, FlowRecord]:
-    """Fire ``b`` at ``m``: takes removed, reads untouched, outputs added.
+    """Fire ``b`` at ``m``: takes removed, reads untouched, outputs added
+    at the levels ``flow_of`` gives.
 
-    Every output token is produced at join(levels of all chosen inputs)
-    joined with the transition's floor.  Raises ``NotEnabled`` when the
-    binding does not match the marking and ``CapacityExceeded`` when a
-    place would overflow.
+    Raises ``NotEnabled`` when the binding does not match the marking and
+    ``CapacityExceeded`` when a place would overflow.
     """
     t = net.transition_by_id.get(b.transition)
     if t is None:
@@ -172,22 +177,13 @@ def fire(net: FssmNet, m: Marking, b: Binding) -> tuple[Marking, FlowRecord]:
     if not _feasible(m, b.choices):
         raise NotEnabled(f"binding {b.digest!r} is not enabled at {m.canonical_key()}")
 
-    lat = net.lattice
-    out_level = lat.join(
-        lat.join_all(tok.level for _, tok in b.choices), t.floor
-    )
-    consumed = tuple(
-        (arc.place, tok) for arc, tok in b.choices if arc.mode == "take"
-    )
-    read = tuple((arc.place, tok) for arc, tok in b.choices if arc.mode == "read")
-    produced = tuple((arc.place, DataToken(arc.klass, out_level)) for arc in t.outputs)
-
+    flow = flow_of(net, b)
     contents: dict[str, Counter] = {}
     for pid, packed in m.entries:
         contents[pid] = Counter({DataToken(k, lv): c for k, lv, c in packed})
-    for pid, tok in consumed:
+    for pid, tok in flow.consumed:
         contents.setdefault(pid, Counter())[tok] -= 1
-    for pid, tok in produced:
+    for pid, tok in flow.produced:
         contents.setdefault(pid, Counter())[tok] += 1
     for pid, counter in contents.items():
         place = net.place_by_id[pid]
@@ -196,7 +192,23 @@ def fire(net: FssmNet, m: Marking, b: Binding) -> tuple[Marking, FlowRecord]:
                 f"firing {t.id!r} overflows place {pid!r} (capacity {place.capacity})"
             )
     m2 = Marking({pid: list(counter.items()) for pid, counter in contents.items()})
-    return m2, FlowRecord(consumed=consumed, read=read, produced=produced)
+    return m2, flow
+
+
+def flow_of(net: FssmNet, b: Binding) -> FlowRecord:
+    """What firing ``b`` consumes, reads and produces; the marking plays no part.
+
+    Every output token is produced at join(levels of all chosen inputs)
+    joined with the transition's floor.
+    """
+    t = net.transition_by_id[b.transition]
+    lat = net.lattice
+    out_level = lat.join(lat.join_all(tok.level for _, tok in b.choices), t.floor)
+    return FlowRecord(
+        consumed=tuple((arc.place, tok) for arc, tok in b.choices if arc.mode == "take"),
+        read=tuple((arc.place, tok) for arc, tok in b.choices if arc.mode == "read"),
+        produced=tuple((arc.place, DataToken(arc.klass, out_level)) for arc in t.outputs),
+    )
 
 
 # --------------------------------------------------------------------------
@@ -204,23 +216,34 @@ def fire(net: FssmNet, m: Marking, b: Binding) -> tuple[Marking, FlowRecord]:
 
 
 class _CompiledNet:
-    """Integer-indexed view of a net for the exploration hot loop."""
+    """Integer-indexed view of a net for the exploration hot loop.
+
+    Token type ``ty`` indexes ``tokens``, every (class, level) the net can
+    hold, in ``DataToken`` order (``ty = class index * len(levels) + level
+    index``): sorted place contents, candidate lists and their product then
+    run in the reference's order.
+    """
 
     def __init__(self, net: FssmNet):
         lat = net.lattice
         self.net = net
-        self.levels = list(lat.levels)
+        self.levels = sorted(lat.levels)
         self.level_idx = {lv: i for i, lv in enumerate(self.levels)}
         self.join = [
             [self.level_idx[lat.joins[(a, b)]] for b in self.levels] for a in self.levels
         ]
-        self.bottom = self.level_idx[lat.bottom]
         self.place_ids = [p.id for p in net.places]
         self.place_idx = {pid: i for i, pid in enumerate(self.place_ids)}
         self.capacity = [p.capacity for p in net.places]
-        self.type_ids: dict[tuple[str, int], int] = {}
-        self.type_info: list[tuple[str, int]] = []
-        # (tid, in_arcs, outputs, floor); arcs use place indices
+        classes = {k for m in net.initials for _, packed in m.entries for k, _, _ in packed}
+        classes.update(a.klass for t in net.transitions for a in t.outputs)
+        self.class_base = {k: i * len(self.levels) for i, k in enumerate(sorted(classes))}
+        self.tokens = [DataToken(k, lv) for k in self.class_base for lv in self.levels]
+        self.tok_class = [tok.klass for tok in self.tokens]
+        self.tok_level = [ty % len(self.levels) for ty in range(len(self.tokens))]
+        self.digests: dict[tuple, str] = {}  # signature -> binding digest
+        # (tid, in_arcs, outputs, floor); arcs use place indices, an output
+        # carries its class's base, to which the produced level index is added
         self.trans = [
             (
                 t.id,
@@ -232,48 +255,46 @@ class _CompiledNet:
                     )
                     for a in t.inputs
                 ),
-                tuple((self.place_idx[a.place], a.klass) for a in t.outputs),
+                tuple((self.place_idx[a.place], self.class_base[a.klass]) for a in t.outputs),
                 self.level_idx[t.floor],
             )
             for t in net.transitions
         ]
 
-    def intern(self, klass: str, level: int) -> int:
-        key = (klass, level)
-        ty = self.type_ids.get(key)
-        if ty is None:
-            ty = len(self.type_info)
-            self.type_ids[key] = ty
-            self.type_info.append(key)
-        return ty
-
     def encode(self, m: Marking):
         per_place = [()] * len(self.place_ids)
         for pid, packed in m.entries:
-            p = self.place_idx[pid]
-            per_place[p] = tuple(
-                sorted((self.intern(k, self.level_idx[lv]), c) for k, lv, c in packed)
+            per_place[self.place_idx[pid]] = tuple(
+                sorted((self.class_base[k] + self.level_idx[lv], c) for k, lv, c in packed)
             )
         return tuple(per_place)
 
     def decode(self, compact) -> Marking:
-        contents = {}
-        for p, content in enumerate(compact):
-            if content:
-                contents[self.place_ids[p]] = [
-                    (DataToken(self.type_info[ty][0], self.levels[self.type_info[ty][1]]), c)
-                    for ty, c in content
-                ]
-        return Marking(contents)
+        tokens = self.tokens
+        return Marking(
+            {
+                self.place_ids[p]: [(tokens[ty], c) for ty, c in content]
+                for p, content in enumerate(compact)
+                if content
+            }
+        )
+
+    def binding(self, ti: int, combo) -> Binding:
+        t = self.net.transitions[ti]
+        return Binding(t.id, tuple(zip(t.inputs, (self.tokens[ty] for ty in combo))))
 
     def successors(self, compact):
-        """Yield (trans index, signature, successor) in canonical order.
+        """Yield (trans index, combo, digest, successor) in canonical order.
 
         The signature is the sorted (place, is_take, type) choice multiset;
-        capacity-breaching firings are silently not successors.
+        ``combo`` is its first arc arrangement in product order, which is the
+        binding the reference keeps for that digest.  Capacity-breaching
+        firings are silently not successors.
         """
-        type_info = self.type_info
+        tok_class = self.tok_class
+        tok_level = self.tok_level
         join = self.join
+        digests = self.digests
         for ti, (_, in_arcs, outs, floor) in enumerate(self.trans):
             cands = []
             feasible = True
@@ -282,7 +303,7 @@ class _CompiledNet:
                 if pk is None:
                     c = [ty for ty, _ in content]
                 else:
-                    c = [ty for ty, _ in content if type_info[ty][0] == pk]
+                    c = [ty for ty, _ in content if tok_class[ty] == pk]
                 if not c:
                     feasible = False
                     break
@@ -319,20 +340,23 @@ class _CompiledNet:
                     continue
                 level = floor
                 for _, _, ty in sig:
-                    level = join[level][type_info[ty][1]]
+                    level = join[level][tok_level[ty]]
                 delta: dict[int, dict[int, int]] = {}
                 for (p, ty), k in takes.items():
                     delta.setdefault(p, {})[ty] = -k
-                for p, klass in outs:
-                    ty = self.intern(klass, level)
+                for p, base in outs:
+                    ty = base + level
                     d = delta.setdefault(p, {})
                     d[ty] = d.get(ty, 0) + 1
                 succ = self._apply(compact, delta)
                 if succ is not None:
-                    emitted.append((self._render_sig(sig), sig, succ))
+                    digest = digests.get(sig)
+                    if digest is None:
+                        digest = digests[sig] = self._render_sig(sig)
+                    emitted.append((digest, combo, succ))
             emitted.sort(key=lambda e: e[0])
-            for _, sig, succ in emitted:
-                yield ti, sig, succ
+            for digest, combo, succ in emitted:
+                yield ti, combo, digest, succ
 
     def _apply(self, compact, delta):
         per_place = list(compact)
@@ -352,16 +376,11 @@ class _CompiledNet:
             (
                 "take" if is_take else "read",
                 self.place_ids[p],
-                self.type_info[ty][0],
-                self.levels[self.type_info[ty][1]],
+                self.tokens[ty].klass,
+                self.tokens[ty].level,
             )
             for p, is_take, ty in sig
         )
-
-    def has_successor(self, compact) -> bool:
-        for _ in self.successors(compact):
-            return True
-        return False
 
 
 def explore(net: FssmNet, limits: ExploreLimits | None = None) -> ReachabilityGraph:
@@ -378,12 +397,14 @@ def explore(net: FssmNet, limits: ExploreLimits | None = None) -> ReachabilityGr
         raise FssmError(f"initial marking index {limits.initial} out of range")
 
     comp = _CompiledNet(net)
+    tids = [t.id for t in net.transitions]
     root = comp.encode(net.initials[limits.initial])
     index = {root: 0}
     states = [root]
     parent_edge = [-1]
     depths = [0]
-    edges: list[tuple[int, int, tuple, int]] = []
+    edges: list[GraphEdge] = []
+    bindings: dict[tuple[str, str], Binding] = {}
     truncated = False
     max_states = limits.max_states
     max_depth = limits.max_depth
@@ -393,11 +414,11 @@ def explore(net: FssmNet, limits: ExploreLimits | None = None) -> ReachabilityGr
         m = states[i]
         d = depths[i]
         if max_depth is not None and d >= max_depth:
-            if comp.has_successor(m):
+            if next(comp.successors(m), None) is not None:
                 truncated = True
             i += 1
             continue
-        for ti, sig, succ in comp.successors(m):
+        for ti, combo, digest, succ in comp.successors(m):
             j = index.get(succ)
             if j is None:
                 if len(states) >= max_states:
@@ -408,7 +429,10 @@ def explore(net: FssmNet, limits: ExploreLimits | None = None) -> ReachabilityGr
                 states.append(succ)
                 parent_edge.append(len(edges))
                 depths.append(d + 1)
-            edges.append((i, ti, sig, j))
+            tid = tids[ti]
+            if (tid, digest) not in bindings:
+                bindings[(tid, digest)] = comp.binding(ti, combo)
+            edges.append(GraphEdge(i, tid, digest, j))
         i += 1
 
     if truncated and limits.strict:
@@ -416,23 +440,14 @@ def explore(net: FssmNet, limits: ExploreLimits | None = None) -> ReachabilityGr
             f"exploration exceeded limits ({len(states)} states reached)"
         )
 
-    digest_memo: dict[tuple[int, tuple], str] = {}
-    rendered = []
-    for src, ti, sig, dst in edges:
-        key = (ti, sig)
-        dg = digest_memo.get(key)
-        if dg is None:
-            dg = comp._render_sig(sig)
-            digest_memo[key] = dg
-        rendered.append(GraphEdge(src, comp.trans[ti][0], dg, dst))
-
     return ReachabilityGraph(
         states=tuple(comp.decode(m) for m in states),
-        edges=tuple(rendered),
+        edges=tuple(edges),
         truncated=truncated,
         initial_index=limits.initial,
         parent_edge=tuple(parent_edge),
         depths=tuple(depths),
+        bindings=bindings,
     )
 
 

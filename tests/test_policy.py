@@ -1,18 +1,29 @@
 """BLP rules, predicate invariants, and witness machinery."""
 
+import dataclasses
 import random
 
 import pytest
 
 from fssm import (
+    ArcIn,
+    ArcOut,
     BlpConfig,
+    Cloud,
     ExploreLimits,
     FssmError,
+    Place,
+    PolicyReport,
+    TaskTransition,
     UnresolvedReference,
+    Violation,
+    build_net,
     check_invariant,
     dynamic_blp_check,
+    enabled_bindings,
     eval_predicate,
     explore,
+    fire,
     marking_of,
     parse_predicate,
     predicate_to_obj,
@@ -20,7 +31,7 @@ from fssm import (
     static_blp_check,
 )
 from fssm.corpus import random_net, random_state_secret
-from fssm.policy import And, Const, Contains, CountCmp, ExistsTokenGeq, Not
+from fssm.policy import And, Const, Contains, CountCmp, ExistsTokenGeq, Not, _flow_violations
 
 
 def by_kind(report):
@@ -319,21 +330,86 @@ def test_replay_on_corpus():
     assert replayed > 10
 
 
-def test_dynamic_blp_fires_once_per_binding(monkeypatch):
+class _Unread(tuple):
+    """A states tuple whose markings cannot be read, only counted."""
+
+    def __getitem__(self, i):
+        raise AssertionError("a marking was read")
+
+    def __iter__(self):
+        raise AssertionError("the markings were read")
+
+
+def _fired_blp_report(net, g, cfg):
+    """Oracle: fire every edge from its source marking on the reference semantics."""
+    found = {}
+    for e in g.edges:
+        m = g.states[e.src]
+        (b,) = [
+            b
+            for b in enabled_bindings(net, m)
+            if (b.transition, b.digest) == (e.transition, e.binding)
+        ]
+        _, flow = fire(net, m, b)
+        for kind, detail in _flow_violations(net, cfg, e.transition, flow):
+            v = found.get((e.transition, kind))
+            found[(e.transition, kind)] = (
+                Violation(kind, e.transition, e.dst, g.path_to(e.src) + (e.transition,), detail)
+                if v is None
+                else dataclasses.replace(v, count=v.count + 1)
+            )
+    violations = tuple(found[k] for k in sorted(found))
+    verdict = "violated" if violations else "holds_up_to_bound" if g.truncated else "holds"
+    return PolicyReport(verdict, violations, g.stats, g.truncated)
+
+
+def test_dynamic_blp_fires_once_per_binding(monkeypatch, net3, net1_leak):
+    """BLP fires nothing and reads no marking: each edge's flow comes from the
+    binding the graph names, and the report equals firing every edge."""
     import fssm.policy as policy
     from fssm.corpus import bench_counter_net
-    from fssm.statespace import fire
 
-    net = bench_counter_net(counters=2, bound=5)
+    def refuse(*args):
+        raise AssertionError("BLP fired or enumerated bindings")
+
+    monkeypatch.setattr(policy, "fire", refuse)
+    monkeypatch.setattr(policy, "enabled_bindings", refuse)
+    rng = random.Random(909)
+    nets = [net3, net1_leak, bench_counter_net(counters=2, bound=5)]
+    nets += [random_net(rng)[0] for _ in range(60)]
+    cfgs = [BlpConfig(), BlpConfig(no_read_up=False), BlpConfig(containment=False)]
+    violated = 0
+    for net in nets:
+        for limits in (None, ExploreLimits(max_states=3)):
+            g = explore(net, limits)
+            blind = dataclasses.replace(g, states=_Unread(g.states))
+            for cfg in cfgs:
+                rep = dynamic_blp_check(net, cfg, graph=blind)
+                assert rep == _fired_blp_report(net, g, cfg), (net, limits, cfg)
+                violated += rep.verdict == "violated"
+    assert violated > 50
+
+
+def test_blp_detail_follows_reference_arrangement(lat2):
+    """Arcs "*" and "a" on one place holding a and b: the reference binding
+    gives b to the "*" arc, since a is the "a" arc's only candidate."""
+    net = build_net(
+        lat2,
+        [Cloud("Cpriv", "Secret")],
+        [Place("p", "Cpriv"), Place("q", "Cpriv")],
+        [
+            TaskTransition(
+                "t", cloud="Cpriv", clearance="Public", floor="Public",
+                inputs=(ArcIn("p", "take", "*"), ArcIn("p", "take", "a")),
+                outputs=(ArcOut("q", "c"),),
+            )
+        ],
+        [marking_of({"p": [("a", "Secret", 1), ("b", "Secret", 1)]})],
+    )
     g = explore(net)
-    calls = []
-
-    def counting(*args):
-        calls.append(args)
-        return fire(*args)
-
-    monkeypatch.setattr(policy, "fire", counting)
-    rep = dynamic_blp_check(net, graph=g)
-    assert len(g.edges) == 60
-    assert 0 < len(calls) <= len({(e.transition, e.binding) for e in g.edges})
-    assert rep.verdict == "holds"
+    (e,) = g.edges
+    (ref,) = enabled_bindings(net, net.initials[0])
+    assert g.bindings[(e.transition, e.binding)] == ref
+    assert [str(tok) for _, tok in ref.choices] == ["b@Secret", "a@Secret"]
+    (v,) = dynamic_blp_check(net, graph=g).violations
+    assert (v.kind, v.detail) == ("read_up", "input b@Secret at p above clearance Public")

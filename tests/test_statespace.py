@@ -495,3 +495,42 @@ def test_dot_net1(net1):
     )
     assert to_dot(g) == text
     assert "p1:d@Public*1" in to_dot(g, show_markings=True)
+
+
+# --------------------------------------------------------------------------
+# the graph names each edge's reference binding
+
+
+def test_graph_bindings_match_reference():
+    edges = 0
+    for seed in range(3):
+        for acyclic in (True, False):
+            rng = random.Random(seed)
+            for _ in range(300):
+                net, g = random_net(rng, acyclic=acyclic)
+                for e in g.edges:
+                    ref = {
+                        (b.transition, b.digest): b
+                        for b in enabled_bindings(net, g.states[e.src])
+                    }
+                    key = (e.transition, e.binding)
+                    assert g.bindings[key] == ref[key], (net, e)
+                    edges += 1
+    assert edges > 5000
+
+
+def test_explore_renders_each_signature_once(monkeypatch):
+    from fssm import statespace
+    from fssm.corpus import bench_counter_net
+
+    render = statespace._CompiledNet._render_sig
+    calls = []
+
+    def counting(self, sig):
+        calls.append(sig)
+        return render(self, sig)
+
+    monkeypatch.setattr(statespace._CompiledNet, "_render_sig", counting)
+    g = explore(bench_counter_net(counters=2, bound=5))
+    assert len(g.edges) == 60
+    assert 0 < len(calls) == len(set(calls)) <= len(g.bindings)
