@@ -1,8 +1,10 @@
 """Command-line front end.
 
-One analysis per invocation; verdicts map to exit codes (0 holds, 1
-violated, 2 usage or input error).  Reports have a fixed field order and
-carry no timestamps unless asked, so repeated runs diff cleanly.
+One analysis per invocation.  Each subcommand returns a verdict and its
+report fields; ``main`` loads the model, renders the report and maps the
+verdict to the exit code (0 holds, 1 violated, 2 usage or input error).
+Reports have a fixed field order and carry no timestamps unless asked, so
+repeated runs diff cleanly.
 """
 
 from __future__ import annotations
@@ -25,10 +27,19 @@ from .errors import FssmError
 from .modelfile import ModelBundle, parse_model, render_fraction, serialize_model
 from .noninterference import check_snni
 from .opacity import RunMonitor, check_current_state_opacity, check_run_opacity
-from .policy import BlpConfig, PredicateExpr, check_invariant, dynamic_blp_check, static_blp_check
+from .policy import (
+    BlpConfig,
+    PredicateExpr,
+    _verdict,
+    check_invariant,
+    dynamic_blp_check,
+    static_blp_check,
+)
 from .statespace import ExploreLimits, explore, to_dot
 
 _RULE_NAMES = ("read_up", "write_down", "containment")
+# verdicts that exit 1; every other verdict exits 0
+_FAILING = ("violated", "not_opaque", "no_feasible_allocation")
 
 
 class UsageError(FssmError):
@@ -89,17 +100,6 @@ def render_report(obj: dict, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _report(command: str, model: str, verdict: str, args, **fields) -> dict:
-    obj: dict = {"command": command, "model": model, "verdict": verdict}
-    for k, v in fields.items():
-        if v is not None:
-            obj[k] = v
-    if getattr(args, "timestamps", False):
-        obj["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    obj["version"] = __version__
-    return obj
-
-
 def _violation_obj(v) -> dict:
     obj = {"kind": v.kind}
     if v.transition is not None:
@@ -117,18 +117,16 @@ def _policy_fields(rep) -> dict:
     fields["edges"] = rep.explored.edges
     fields["depth"] = rep.explored.depth
     fields["truncated"] = rep.truncated
-    if rep.truncated and rep.verdict != "violated":
-        fields["warning"] = "state space truncated; verdict holds only up to the bound"
     return fields
 
 
+def _listed(seq) -> Optional[list]:
+    return list(seq) if seq is not None else None
+
+
 # --------------------------------------------------------------------------
-# subcommands
-
-
-def _load(args) -> ModelBundle:
-    with open(args.file, "r", encoding="utf-8") as fh:
-        return parse_model(fh.read())
+# subcommands: each returns (verdict, report fields), or None when it has
+# written its whole output itself
 
 
 def _limits(args, **overrides) -> ExploreLimits:
@@ -137,14 +135,9 @@ def _limits(args, **overrides) -> ExploreLimits:
     return ExploreLimits(**kwargs)
 
 
-def cmd_validate(args) -> int:
-    bundle = _load(args)
+def cmd_validate(args, bundle: ModelBundle):
     net = bundle.net
-    obj = _report(
-        "validate",
-        args.file,
-        "valid",
-        args,
+    return "valid", dict(
         levels=len(net.lattice.levels),
         clouds=len(net.clouds),
         places=len(net.places),
@@ -154,12 +147,9 @@ def cmd_validate(args) -> int:
         secrets=len(bundle.secrets),
         workflow_tasks=len(bundle.workflow.tasks) if bundle.workflow else 0,
     )
-    print(render_report(obj, args.format), end="")
-    return 0
 
 
-def cmd_explore(args) -> int:
-    bundle = _load(args)
+def cmd_explore(args, bundle: ModelBundle):
     limits = _limits(
         args,
         initial=args.initial,
@@ -171,15 +161,12 @@ def cmd_explore(args) -> int:
         text = to_dot(g, show_markings=args.show_markings)
         if args.dot == "-":
             print(text, end="")
-            return 0
+            return None
         with open(args.dot, "w", encoding="utf-8") as fh:
             fh.write(text)
     stats = g.stats
-    obj = _report(
-        "explore",
-        args.file,
-        "explored",
-        args,
+    # the graph, not a verdict, is bounded here: the warning says so in its own words
+    return "explored", dict(
         initial=limits.initial,
         states=stats.states,
         edges=stats.edges,
@@ -188,8 +175,6 @@ def cmd_explore(args) -> int:
         warning="state space truncated at the configured bound" if g.truncated else None,
         dot=args.dot,
     )
-    print(render_report(obj, args.format), end="")
-    return 0
 
 
 def _parse_rules(csv: Optional[str]) -> BlpConfig:
@@ -206,18 +191,13 @@ def _parse_rules(csv: Optional[str]) -> BlpConfig:
     )
 
 
-def cmd_check_blp(args) -> int:
-    bundle = _load(args)
+def cmd_check_blp(args, bundle: ModelBundle):
     cfg = _parse_rules(args.rules)
     if args.static:
         rep = static_blp_check(bundle.net, cfg)
     else:
         rep = dynamic_blp_check(bundle.net, cfg, limits=_limits(args))
-    obj = _report(
-        "check blp",
-        args.file,
-        rep.verdict,
-        args,
+    return rep.verdict, dict(
         static=args.static,
         rules=[
             name
@@ -230,60 +210,28 @@ def cmd_check_blp(args) -> int:
         ],
         **_policy_fields(rep),
     )
-    print(render_report(obj, args.format), end="")
-    return 1 if rep.verdict == "violated" else 0
 
 
-def cmd_check_invariant(args) -> int:
-    bundle = _load(args)
+def cmd_check_invariant(args, bundle: ModelBundle):
     secret = bundle.secret(args.pred)
     if not isinstance(secret, PredicateExpr):
         raise UsageError(f"secret {args.pred!r} is a run monitor, not a state predicate")
     g = explore(bundle.net, _limits(args))
     rep = check_invariant(g, bundle.net, secret, mode=args.mode)
-    obj = _report(
-        "check invariant",
-        args.file,
-        rep.verdict,
-        args,
-        pred=args.pred,
-        mode=args.mode,
-        **_policy_fields(rep),
-    )
-    print(render_report(obj, args.format), end="")
-    return 1 if rep.verdict == "violated" else 0
+    return rep.verdict, dict(pred=args.pred, mode=args.mode, **_policy_fields(rep))
 
 
-def cmd_check_ni(args) -> int:
-    bundle = _load(args)
+def cmd_check_ni(args, bundle: ModelBundle):
     level = bundle.observer_level(args.observer)
-    symbols = None
-    for name, obs in bundle.obs_maps:
-        if name == "default":
-            symbols = dict(obs.entries)
-    verdict = check_snni(bundle.net, level, limits=_limits(args), symbols=symbols)
-    if not verdict.holds:
-        text = "violated"
-    else:
-        text = "holds_up_to_bound" if verdict.bounded else "holds"
-    obj = _report(
-        "check ni",
-        args.file,
-        text,
-        args,
-        observer=args.observer,
-        level=level,
-        witness=list(verdict.witness) if verdict.witness is not None else None,
-        warning="state space truncated; verdict holds only up to the bound"
-        if text == "holds_up_to_bound"
-        else None,
+    default = dict(bundle.obs_maps).get("default")
+    symbols = default.assignment if default is not None else None
+    v = check_snni(bundle.net, level, limits=_limits(args), symbols=symbols)
+    return _verdict(not v.holds, v.bounded), dict(
+        observer=args.observer, level=level, witness=_listed(v.witness)
     )
-    print(render_report(obj, args.format), end="")
-    return 1 if text == "violated" else 0
 
 
-def cmd_check_opacity(args) -> int:
-    bundle = _load(args)
+def cmd_check_opacity(args, bundle: ModelBundle):
     secret = bundle.secret(args.secret)
     obs = bundle.obs_map(args.obs)
     kind = args.kind
@@ -295,36 +243,20 @@ def cmd_check_opacity(args) -> int:
         raise UsageError(f"secret {args.secret!r} is a state predicate; use --kind state")
     g = explore(bundle.net, _limits(args))
     if kind == "state":
-        verdict = check_current_state_opacity(g, bundle.net, obs, secret)
+        v = check_current_state_opacity(g, bundle.net, obs, secret)
     else:
-        verdict = check_run_opacity(g, bundle.net, obs, secret)
-    if verdict.opaque:
-        text = "holds_up_to_bound" if g.truncated else "opaque"
-    else:
-        text = "not_opaque"
-    obj = _report(
-        "check opacity",
-        args.file,
-        text,
-        args,
+        v = check_run_opacity(g, bundle.net, obs, secret)
+    return _verdict(not v.opaque, v.bounded, holds="opaque", fails="not_opaque"), dict(
         secret=args.secret,
         obs=args.obs,
         kind=kind,
-        witness=list(verdict.witness) if verdict.witness is not None else None,
-        exposed=list(verdict.exposed) if verdict.exposed is not None else None,
-        example_secret_run=list(verdict.example_secret_run)
-        if verdict.example_secret_run is not None
-        else None,
-        warning="state space truncated; verdict holds only up to the bound"
-        if text == "holds_up_to_bound"
-        else None,
+        witness=_listed(v.witness),
+        exposed=_listed(v.exposed),
+        example_secret_run=_listed(v.example_secret_run),
     )
-    print(render_report(obj, args.format), end="")
-    return 1 if text == "not_opaque" else 0
 
 
-def cmd_allocate(args) -> int:
-    bundle = _load(args)
+def cmd_allocate(args, bundle: ModelBundle):
     if bundle.workflow is None:
         raise FssmError("model has no workflow section")
     if args.enumerate and args.emit_net is not None:
@@ -333,22 +265,13 @@ def cmd_allocate(args) -> int:
     clouds = bundle.cloud_specs
     if args.enumerate:
         allocations = enumerate_valid(wf, clouds, lat, limit=args.limit)
-        obj = _report(
-            "allocate",
-            args.file,
-            "enumerated",
-            args,
-            count=len(allocations),
-            allocations=[dict(a.assignment) for a in allocations],
+        return "enumerated", dict(
+            count=len(allocations), allocations=[dict(a.assignment) for a in allocations]
         )
-        print(render_report(obj, args.format), end="")
-        return 0
     try:
         best, cost = min_cost_allocation(wf, clouds, lat, bundle.cost)
     except NoFeasibleAllocation as e:
-        obj = _report("allocate", args.file, "no_feasible_allocation", args, detail=str(e))
-        print(render_report(obj, args.format), end="")
-        return 1
+        return "no_feasible_allocation", dict(detail=str(e))
     emitted = None
     if args.emit_net is not None:
         snet = synthesize_net(wf, best, lat, clouds)
@@ -359,17 +282,11 @@ def cmd_allocate(args) -> int:
             with open(args.emit_net, "w", encoding="utf-8") as fh:
                 fh.write(text)
             emitted = args.emit_net
-    obj = _report(
-        "allocate",
-        args.file,
-        "optimal",
-        args,
+    return "optimal", dict(
         assignment=dict(best.assignment),
         cost=render_fraction(Fraction(cost)),
         emitted=emitted,
     )
-    print(render_report(obj, args.format), end="")
-    return 0
 
 
 # --------------------------------------------------------------------------
@@ -469,7 +386,22 @@ def main(argv: Optional[list[str]] = None) -> int:
         print("fssm: error: --jobs must be at least 1", file=sys.stderr)
         return 2
     try:
-        return args.func(args)
+        with open(args.file, "r", encoding="utf-8") as fh:
+            bundle = parse_model(fh.read())
+        result = args.func(args, bundle)
+        if result is None:
+            return 0
+        verdict, fields = result
+        command = f"check {args.check_command}" if args.command == "check" else args.command
+        obj: dict = {"command": command, "model": args.file, "verdict": verdict}
+        obj.update((k, v) for k, v in fields.items() if v is not None)
+        if verdict == "holds_up_to_bound":
+            obj["warning"] = "state space truncated; verdict holds only up to the bound"
+        if args.timestamps:
+            obj["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
+        obj["version"] = __version__
+        print(render_report(obj, args.format), end="")
+        return 1 if verdict in _FAILING else 0
     except (FssmError, OSError) as e:
         print(f"fssm: error: {e}", file=sys.stderr)
         return 2

@@ -31,7 +31,7 @@ from .model import (
     build_net,
     marking_of,
 )
-from .noninterference import ObsMap, obs_from_dict
+from .noninterference import ObsMap, derive_obs, obs_from_dict
 from .opacity import RunMonitor, SecretSpec
 from .policy import PredicateExpr, parse_predicate, predicate_to_obj
 
@@ -343,17 +343,10 @@ def _parse_obs(spec, net: FssmNet, path: str) -> ObsMap:
             raise SchemaError("symbol must be a string or null", path=f"{path}/{tid}")
         assignment[tid] = sym
     if fallback_level is not None:
-        lat = net.lattice
-        for t in net.transitions:
-            if t.id not in assignment:
-                assignment[t.id] = (
-                    t.id if lat.leq(t.clearance, fallback_level) else None
-                )
-        provenance = f"derived_from({fallback_level})"
-    else:
-        provenance = "explicit"
+        for tid, sym in derive_obs(net, fallback_level).entries:
+            assignment.setdefault(tid, sym)
     with _at(path):
-        return obs_from_dict(assignment, net, provenance=provenance)
+        return obs_from_dict(assignment, net)
 
 
 def _parse_secret(spec, net: FssmNet, path: str) -> SecretSpec:

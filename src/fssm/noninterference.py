@@ -9,7 +9,7 @@ leaves the projected language unchanged.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from .errors import FssmError, UnmappedTransition
@@ -26,7 +26,6 @@ class ObsMap:
     """Total map from transition ids to observable symbols; None is silent."""
 
     entries: tuple[tuple[str, Optional[str]], ...]
-    provenance: str = field(default="explicit", compare=False)
 
     def __post_init__(self):
         for tid, sym in self.entries:
@@ -46,9 +45,7 @@ class ObsMap:
 
 
 def obs_from_dict(
-    assignment: Mapping[str, Optional[str]],
-    net: FssmNet | None = None,
-    provenance: str = "explicit",
+    assignment: Mapping[str, Optional[str]], net: FssmNet | None = None
 ) -> ObsMap:
     """Explicit map; when a net is given the map must cover its transitions."""
     if net is not None:
@@ -60,7 +57,7 @@ def obs_from_dict(
             raise UnmappedTransition(
                 "observation map misses transitions: " + ", ".join(sorted(missing))
             )
-    return ObsMap(entries=tuple(sorted(assignment.items())), provenance=provenance)
+    return ObsMap(entries=tuple(sorted(assignment.items())))
 
 
 def derive_obs(net: FssmNet, observer_level: str) -> ObsMap:
@@ -71,7 +68,7 @@ def derive_obs(net: FssmNet, observer_level: str) -> ObsMap:
         (t.id, t.id if lat.leq(t.clearance, observer_level) else SILENT)
         for t in net.transitions
     )
-    return ObsMap(entries=tuple(sorted(entries)), provenance=f"derived_from({observer_level})")
+    return ObsMap(entries=tuple(sorted(entries)))
 
 
 def coarsen_obs(obs: ObsMap, merge: Mapping[str, Optional[str]]) -> ObsMap:
@@ -79,7 +76,7 @@ def coarsen_obs(obs: ObsMap, merge: Mapping[str, Optional[str]]) -> ObsMap:
     entries = tuple(
         (tid, SILENT if sym is None else merge.get(sym, sym)) for tid, sym in obs.entries
     )
-    return ObsMap(entries=entries, provenance="explicit")
+    return ObsMap(entries=entries)
 
 
 @dataclass(frozen=True)
@@ -215,19 +212,10 @@ def check_snni(
     spell it from the initial marking (replayed on the net), so it is
     real, though shortest only within the explored part.
     """
-    lat = net.lattice
-    lat.check_level(observer_level)
-    assignment: dict[str, Optional[str]] = {}
-    for t in net.transitions:
-        if not lat.leq(t.clearance, observer_level):
-            assignment[t.id] = SILENT
-        else:
-            ren = symbols.get(t.id) if symbols else None
-            assignment[t.id] = ren if ren is not None else t.id
-    obs = ObsMap(
-        entries=tuple(sorted(assignment.items())),
-        provenance=f"derived_from({observer_level})",
-    )
+    obs = derive_obs(net, observer_level)
+    if symbols:
+        # a visible transition's symbol is its own id
+        obs = coarsen_obs(obs, {tid: s for tid, s in symbols.items() if s is not None})
     g = explore(net, limits)
     rows = graph_adjacency(len(g.states), g.edges, obs)
     a = _automaton(rows)
@@ -240,7 +228,7 @@ def check_snni(
         )
     witness = language_diff_witness(a, b)
     if witness is not None and g.truncated:
-        steps = [{tid for tid, sym in assignment.items() if sym == w} for w in witness]
+        steps = [{tid for tid, sym in obs.entries if sym == w} for w in witness]
         if _replay_markings(net, steps, g.initial_index):
             witness = None
     return NIVerdict(holds=witness is None, witness=witness, bounded=g.truncated)

@@ -73,6 +73,7 @@ class OpacityVerdict:
     witness: Optional[tuple[str, ...]] = None
     exposed: Optional[tuple[str, ...]] = None
     example_secret_run: Optional[tuple[str, ...]] = None
+    bounded: bool = False  # decided on a truncated graph
 
 
 @dataclass(frozen=True)
@@ -138,7 +139,7 @@ def _example_run(rows, witness, targets) -> tuple[str, ...]:
     raise FssmError("internal: witness observation has no realizing run")
 
 
-def _estimate(rows, secret_flags, keys, label):
+def _estimate(rows, secret_flags, keys, label, bounded):
     """Shared estimator core: find the first all-secret macro-state.
 
     ``keys[i]`` orders node ``i`` in ``exposed`` and ``label`` renders it.
@@ -152,8 +153,9 @@ def _estimate(rows, secret_flags, keys, label):
                 witness=witness,
                 exposed=tuple(label(k) for k in sorted(keys[s] for s in macro)),
                 example_secret_run=_example_run(rows, witness, macro),
+                bounded=bounded,
             )
-    return OpacityVerdict(opaque=True)
+    return OpacityVerdict(opaque=True, bounded=bounded)
 
 
 def check_current_state_opacity(
@@ -167,6 +169,7 @@ def check_current_state_opacity(
         flags,
         range(len(g.states)),
         lambda s: f"s{s}",
+        g.truncated,
     )
 
 
@@ -206,6 +209,7 @@ def check_run_opacity(
         flags,
         nodes,
         lambda node: f"s{node[0]}|{node[1]}",
+        g.truncated,
     )
 
 
@@ -295,7 +299,7 @@ def brute_force_opacity(
         (o for o, grp in groups.items() if grp["all"]), key=lambda o: (len(o), o)
     )
     if not bad:
-        return OpacityVerdict(opaque=True)
+        return OpacityVerdict(opaque=True, bounded=g.truncated)
     witness = bad[0]
     grp = groups[witness]
     run = min(grp["runs"], key=lambda r: (len(r), r))
@@ -304,5 +308,5 @@ def brute_force_opacity(
     else:
         exposed = tuple(f"s{s}" for s in sorted(grp["finals"]))
     return OpacityVerdict(
-        opaque=False, witness=witness, exposed=exposed, example_secret_run=run
+        opaque=False, witness=witness, exposed=exposed, example_secret_run=run, bounded=g.truncated
     )

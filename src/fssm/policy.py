@@ -60,10 +60,13 @@ class PolicyReport:
     truncated: bool
 
 
-def _verdict(violations, truncated: bool) -> str:
-    if violations:
-        return VERDICT_VIOLATED
-    return VERDICT_BOUNDED if truncated else VERDICT_HOLDS
+def _verdict(
+    failed: bool, truncated: bool, holds: str = VERDICT_HOLDS, fails: str = VERDICT_VIOLATED
+) -> str:
+    """A failure found stands; otherwise a truncated graph bounds the verdict."""
+    if failed:
+        return fails
+    return VERDICT_BOUNDED if truncated else holds
 
 
 # --------------------------------------------------------------------------
@@ -370,7 +373,7 @@ def static_blp_check(net: FssmNet, cfg: BlpConfig | None = None) -> PolicyReport
                     )
                     break
     return PolicyReport(
-        verdict=_verdict(violations, False),
+        verdict=_verdict(bool(violations), False),
         violations=tuple(violations),
         explored=GraphStats(0, 0, 0),
         truncated=False,
@@ -457,7 +460,7 @@ def dynamic_blp_check(
         for (t_id, kind), (e, detail) in sorted(first.items())
     )
     return PolicyReport(
-        verdict=_verdict(violations, g.truncated),
+        verdict=_verdict(bool(violations), g.truncated),
         violations=violations,
         explored=g.stats,
         truncated=g.truncated,
@@ -494,7 +497,7 @@ def check_invariant(
             ),
         )
     return PolicyReport(
-        verdict=_verdict(violations, g.truncated),
+        verdict=_verdict(bool(violations), g.truncated),
         violations=violations,
         explored=g.stats,
         truncated=g.truncated,

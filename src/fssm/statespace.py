@@ -393,6 +393,8 @@ def explore(net: FssmNet, limits: ExploreLimits | None = None) -> ReachabilityGr
     limits = limits or ExploreLimits()
     if limits.max_states < 1:
         raise FssmError("max_states must be at least 1")
+    if limits.max_depth is not None and limits.max_depth < 0:
+        raise FssmError("max_depth must not be negative")
     if not 0 <= limits.initial < len(net.initials):
         raise FssmError(f"initial marking index {limits.initial} out of range")
 

@@ -241,13 +241,25 @@ def test_bounded_verdict_is_exit_0_with_warning(monkeypatch, capsys):
         return orig(args, **overrides)
 
     monkeypatch.setattr(cli_mod, "_limits", tiny)
-    code, out, _ = run(
-        capsys, ["check", "ni", "net2.json", "--observer", "Public", "--format", "json"]
-    )
-    assert code == 0
-    obj = json.loads(out)
-    assert obj["verdict"] == "holds_up_to_bound"
-    assert "warning" in obj
+    for argv in (
+        ["check", "ni", "net2.json", "--observer", "Public"],
+        ["check", "blp", "net1.json"],
+        ["check", "invariant", "net1.json", "--pred", "sec_p2", "--mode", "never"],
+        ["check", "opacity", "net1.json", "--secret", "sec_p2", "--obs", "u_map"],
+        ["check", "opacity", "net1.json", "--secret", "mon_up", "--obs", "u_map"],
+    ):
+        code, out, err = run(capsys, argv + ["--format", "json"])
+        assert (code, err) == (0, ""), argv
+        obj = json.loads(out)
+        assert obj["verdict"] == "holds_up_to_bound", argv
+        assert obj["warning"] == "state space truncated; verdict holds only up to the bound"
+
+
+def test_negative_max_depth_is_exit_2(capsys):
+    code, out, err = run(capsys, ["explore", "net2.json", "--max-depth", "-1"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("fssm: error:") and "max_depth" in err
 
 
 def test_explore_limit_flags(capsys):

@@ -207,7 +207,6 @@ def test_by_clearance_expansion():
     assert auto.symbol_of("t_up") is None
     assert auto.symbol_of("t_pub") == "t_pub"
     assert auto.symbol_of("t_sig") == "t_sig"
-    assert auto.provenance == "derived_from(Public)"
     mixed = b.obs_map("mixed")
     assert mixed.symbol_of("t_up") == "u"
     assert mixed.symbol_of("t_pub") == "x"

@@ -96,7 +96,6 @@ def test_derive_obs(net3):
     assert obs.symbol_of("t_up") is None
     assert obs.symbol_of("t_pub") == "t_pub"
     assert obs.symbol_of("t_sig") == "t_sig"
-    assert obs.provenance == "derived_from(Public)"
     top = derive_obs(net3, "Secret")
     assert top.symbol_of("t_up") == "t_up"
 

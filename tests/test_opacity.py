@@ -10,6 +10,7 @@ from fssm import (
     Cloud,
     CyclicGraph,
     DepthTooSmall,
+    ExploreLimits,
     FssmError,
     Place,
     RunMonitor,
@@ -235,6 +236,23 @@ def test_run_opacity_silent_monitor_hit(net1):
     obs = obs_from_dict({"t_up": None}, net1)
     v = check_run_opacity(g, net1, obs, MON_UP)
     assert v.opaque
+
+
+def test_opacity_on_truncated_graph_is_bounded(net1):
+    # both secrets are exposed by firing t_up, one step past a one-state bound
+    obs = obs_from_dict({"t_up": "u"}, net1)
+    for limits, truncated in ((ExploreLimits(max_states=1), True), (None, False)):
+        g = explore(net1, limits)
+        assert g.truncated is truncated
+        for check, secret in (
+            (check_current_state_opacity, Contains("p2", "d")),
+            (check_run_opacity, MON_UP),
+        ):
+            for v in (
+                check(g, net1, obs, secret),
+                brute_force_opacity(g, net1, obs, secret, depth=2),
+            ):
+                assert (v.opaque, v.bounded) == (truncated, truncated), (check, limits)
 
 
 # --------------------------------------------------------------------------

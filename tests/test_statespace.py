@@ -373,6 +373,8 @@ def test_bad_limits(net1):
         explore(net1, ExploreLimits(max_states=0))
     with pytest.raises(FssmError):
         explore(net1, ExploreLimits(initial=5))
+    with pytest.raises(FssmError, match="max_depth"):
+        explore(net1, ExploreLimits(max_depth=-1))
 
 
 def test_initial_index(lat2):
