@@ -75,9 +75,9 @@ from .policy import (
     static_blp_check,
 )
 from .noninterference import (
-    FiniteAutomaton,
     NIVerdict,
     ObsMap,
+    Observer,
     check_snni,
     coarsen_obs,
     derive_obs,
@@ -86,7 +86,6 @@ from .noninterference import (
     project,
 )
 from .opacity import (
-    ObserverAutomaton,
     OpacityVerdict,
     RunMonitor,
     SecretSpec,

@@ -35,7 +35,7 @@ from .policy import (
     dynamic_blp_check,
     static_blp_check,
 )
-from .statespace import ExploreLimits, explore, to_dot
+from .statespace import DEFAULT_MAX_STATES, ExploreLimits, explore, to_dot
 
 _RULE_NAMES = ("read_up", "write_down", "containment")
 # verdicts that exit 1; every other verdict exits 0
@@ -153,8 +153,8 @@ def cmd_explore(args, bundle: ModelBundle):
     limits = _limits(
         args,
         initial=args.initial,
+        max_states=args.max_states,
         max_depth=args.max_depth,
-        **({"max_states": args.max_states} if args.max_states is not None else {}),
     )
     g = explore(bundle.net, limits)
     if args.dot is not None:
@@ -294,30 +294,29 @@ def cmd_allocate(args, bundle: ModelBundle):
 
 
 def _add_globals(p: argparse.ArgumentParser, suppress: bool):
-    d = argparse.SUPPRESS if suppress else None
     p.add_argument(
         "--format",
         choices=("human", "json"),
-        default=d if suppress else "human",
+        default=argparse.SUPPRESS if suppress else "human",
         help="report rendering (default: human)",
     )
     p.add_argument(
         "--jobs",
         type=int,
         metavar="N",
-        default=d if suppress else 1,
+        default=argparse.SUPPRESS if suppress else 1,
         help="worker hint; results are identical for any value",
     )
     p.add_argument(
         "--strict-limits",
         action="store_true",
-        default=d if suppress else False,
+        default=argparse.SUPPRESS if suppress else False,
         help="treat truncation as an error instead of a bounded verdict",
     )
     p.add_argument(
         "--timestamps",
         action="store_true",
-        default=d if suppress else False,
+        default=argparse.SUPPRESS if suppress else False,
         help="include a wall-clock timestamp in reports",
     )
 
@@ -342,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _command(sub, "explore", cmd_explore, help="build the reachability graph")
     p.add_argument("--initial", type=int, default=0, metavar="N", help="initial marking index")
-    p.add_argument("--max-states", type=int, default=None, metavar="N")
+    p.add_argument("--max-states", type=int, default=DEFAULT_MAX_STATES, metavar="N")
     p.add_argument("--max-depth", type=int, default=None, metavar="N")
     p.add_argument("--dot", metavar="PATH", help="write DOT text here ('-' for stdout)")
     p.add_argument("--show-markings", action="store_true", help="full markings in DOT labels")

@@ -168,17 +168,17 @@ def parse_model(text: str) -> ModelBundle:
         _parse_transition(t, lat, f"/transitions/{i}")
         for i, t in enumerate(_opt(doc, "transitions", list, "", []))
     ]
-    initials = [
-        _parse_marking(m, f"/initial_markings/{i}")
-        for i, m in enumerate(_opt(doc, "initial_markings", list, "", [{}]))
-    ]
+    initial_docs = _opt(doc, "initial_markings", list, "", [{}])
+    if not initial_docs:
+        raise SchemaError("at least one initial marking is required", path="/initial_markings")
+    initials = [_parse_marking(m, f"/initial_markings/{i}") for i, m in enumerate(initial_docs)]
     with _at("/"):
         net = build_net(
             lattice=lat,
             clouds=clouds,
             places=places,
             transitions=transitions,
-            initials=initials or [Marking({})],
+            initials=initials,
         )
 
     obs_maps = []

@@ -1,9 +1,9 @@
 """Trace-based non-interference (SNNI) over reachability graphs.
 
 Observation maps label transitions with symbols or silence; graphs project
-to deterministic prefix-closed automata via silent closure and subset
-construction.  SNNI holds when deleting all transitions above the observer
-leaves the projected language unchanged.
+to one deterministic, prefix-closed ``Observer`` via silent closure and
+subset construction, which opacity shares.  SNNI holds when deleting all
+transitions above the observer leaves the projected language unchanged.
 """
 
 from __future__ import annotations
@@ -80,33 +80,40 @@ def coarsen_obs(obs: ObsMap, merge: Mapping[str, Optional[str]]) -> ObsMap:
 
 
 @dataclass(frozen=True)
-class FiniteAutomaton:
-    """Deterministic, partial, all states accepting (prefix-closed language)."""
+class Observer:
+    """Deterministic estimator of an observation language (subset construction).
 
-    n_states: int
-    alphabet: tuple[str, ...]
-    transitions: Mapping[tuple[int, str], int]
-    initial: int = 0
-
-
-def graph_adjacency(n_states: int, edges, obs: ObsMap):
-    """Per-state (symbol or None, dst, transition) lists in edge order.
-
-    ``edges`` are reachability-graph edges, or edges of a product built on
-    them: anything with ``src``, ``transition`` and ``dst``.
+    Macro-states are the state sets compatible with an observation, in
+    breadth-first discovery order from macro-state 0; ``edges`` maps
+    (macro, symbol) to macro.  Every macro-state accepts, so the language
+    is prefix-closed.  ``parents[i]`` is the (macro, symbol) that first
+    reached macro-state ``i`` (None for 0), for witness reconstruction.
     """
-    rows = [[] for _ in range(n_states)]
-    for e in edges:
+
+    macro_states: tuple[frozenset, ...]
+    edges: Mapping[tuple[int, str], int]
+    parents: tuple[Optional[tuple[int, str]], ...]
+
+    def observation_to(self, macro: int) -> tuple[str, ...]:
+        path = []
+        while self.parents[macro] is not None:
+            macro, sym = self.parents[macro]
+            path.append(sym)
+        return tuple(reversed(path))
+
+
+def graph_adjacency(g: ReachabilityGraph, obs: ObsMap):
+    """Per-state (symbol or None, dst, transition) lists in edge order."""
+    rows = [[] for _ in g.states]
+    for e in g.edges:
         rows[e.src].append((obs.symbol_of(e.transition), e.dst, e.transition))
     return rows
 
 
-def subset_construction(rows, initial_set):
-    """Deterministic estimator of an adjacency from ``graph_adjacency``.
+def subset_construction(rows, initial_set) -> Observer:
+    """Observer of an adjacency like ``graph_adjacency``'s, from ``initial_set``.
 
-    Returns macro-state sets in BFS discovery order (symbols expanded
-    sorted), the (macro, symbol) -> macro map, and per-macro parent
-    (macro, symbol) pairs for witness reconstruction.
+    Symbols are expanded in sorted order, so numbering is deterministic.
     """
 
     def closure(seed):
@@ -142,41 +149,31 @@ def subset_construction(rows, initial_set):
                 parents.append((i, sym))
             delta[(i, sym)] = j
         i += 1
-    return macros, delta, parents
+    return Observer(macro_states=tuple(macros), edges=delta, parents=tuple(parents))
 
 
-def _automaton(rows) -> FiniteAutomaton:
-    macros, delta, _ = subset_construction(rows, {0} if rows else set())
-    alphabet = tuple(sorted({sym for (_, sym) in delta}))
-    return FiniteAutomaton(
-        n_states=len(macros), alphabet=alphabet, transitions=delta, initial=0
-    )
+def project(g: ReachabilityGraph, obs: ObsMap) -> Observer:
+    """Observer of g's observation language from its initial state."""
+    return subset_construction(graph_adjacency(g, obs), {0})
 
 
-def project(g: ReachabilityGraph, obs: ObsMap) -> FiniteAutomaton:
-    """Deterministic automaton of g's observation language (prefix-closed)."""
-    return _automaton(graph_adjacency(len(g.states), g.edges, obs))
-
-
-def language_diff_witness(
-    a: FiniteAutomaton, b: FiniteAutomaton
-) -> Optional[tuple[str, ...]]:
+def language_diff_witness(a: Observer, b: Observer) -> Optional[tuple[str, ...]]:
     """Shortest string in L(a) \\ L(b); ties broken lexicographically.
 
     Both automata accept everywhere, so the difference is exactly the
     strings a can read and b cannot; a breadth-first product scan with
     sorted symbols finds the least one.
     """
-    a_out = [[] for _ in range(a.n_states)]
-    for (src, sym), dst in sorted(a.transitions.items()):
+    a_out = [[] for _ in a.macro_states]
+    for (src, sym), dst in sorted(a.edges.items()):
         a_out[src].append((sym, dst))
-    start = (a.initial, b.initial)
+    start = (0, 0)
     seen = {start}
     queue = deque([(start, ())])
     while queue:
         (sa, sb), path = queue.popleft()
         for sym, ta in a_out[sa]:
-            tb = b.transitions.get((sb, sym))
+            tb = b.edges.get((sb, sym))
             if tb is None:
                 return path + (sym,)
             nxt = (ta, tb)
@@ -217,9 +214,9 @@ def check_snni(
         # a visible transition's symbol is its own id
         obs = coarsen_obs(obs, {tid: s for tid, s in symbols.items() if s is not None})
     g = explore(net, limits)
-    rows = graph_adjacency(len(g.states), g.edges, obs)
-    a = _automaton(rows)
-    b = _automaton([[r for r in row if r[0] is not None] for row in rows])
+    rows = graph_adjacency(g, obs)
+    a = subset_construction(rows, {0})
+    b = subset_construction([[r for r in row if r[0] is not None] for row in rows], {0})
     backwards = language_diff_witness(b, a)
     if backwards is not None:
         raise FssmError(

@@ -9,11 +9,11 @@ oracle is provided for acyclic graphs; it is exact or it refuses.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Union
+from typing import Optional, Union
 
 from .errors import CyclicGraph, DepthTooSmall, FssmError, UnresolvedReference
 from .model import FssmNet
-from .noninterference import ObsMap, graph_adjacency, subset_construction
+from .noninterference import ObsMap, graph_adjacency, project, subset_construction
 from .policy import PredicateExpr
 from .statespace import ReachabilityGraph
 
@@ -76,33 +76,8 @@ class OpacityVerdict:
     bounded: bool = False  # decided on a truncated graph
 
 
-@dataclass(frozen=True)
-class ObserverAutomaton:
-    """State estimator: macro-states are the sets compatible with an
-    observation, indexed in breadth-first discovery order."""
-
-    macro_states: tuple[frozenset, ...]
-    edges: Mapping[tuple[int, str], int]
-    parents: tuple[Optional[tuple[int, str]], ...]
-    initial: int = 0
-
-    def observation_to(self, macro: int) -> tuple[str, ...]:
-        path = []
-        while self.parents[macro] is not None:
-            macro, sym = self.parents[macro]
-            path.append(sym)
-        return tuple(reversed(path))
-
-
-def _observer(rows) -> ObserverAutomaton:
-    macros, delta, parents = subset_construction(rows, {0})
-    return ObserverAutomaton(
-        macro_states=tuple(macros), edges=delta, parents=tuple(parents), initial=0
-    )
-
-
-def build_observer(g: ReachabilityGraph, obs: ObsMap) -> ObserverAutomaton:
-    return _observer(graph_adjacency(len(g.states), g.edges, obs))
+# the estimator of opacity is the SNNI projection itself
+build_observer = project
 
 
 def _example_run(rows, witness, targets) -> tuple[str, ...]:
@@ -144,7 +119,7 @@ def _estimate(rows, secret_flags, keys, label, bounded):
 
     ``keys[i]`` orders node ``i`` in ``exposed`` and ``label`` renders it.
     """
-    observer = _observer(rows)
+    observer = subset_construction(rows, {0})
     for idx, macro in enumerate(observer.macro_states):
         if all(secret_flags[s] for s in macro):
             witness = observer.observation_to(idx)
@@ -165,7 +140,7 @@ def check_current_state_opacity(
     secret.validate(net)
     flags = [secret.eval(net, m) for m in g.states]
     return _estimate(
-        graph_adjacency(len(g.states), g.edges, obs),
+        graph_adjacency(g, obs),
         flags,
         range(len(g.states)),
         lambda s: f"s{s}",
@@ -183,29 +158,28 @@ def check_run_opacity(
     component on the product is exactly run opacity.
     """
     monitor.validate(net)
-    out_edges: list[list] = [[] for _ in g.states]
-    for e in g.edges:
-        out_edges[e.src].append(e)
+    base = graph_adjacency(g, obs)
     start = (0, monitor.initial)
     nodes = [start]
     index = {start: 0}
-    edges = []
+    rows = []
     i = 0
     while i < len(nodes):
         s, q = nodes[i]
-        for e in out_edges[s]:
-            q2 = monitor.step(q, e.transition)
-            node = (e.dst, q2)
+        row = []
+        for sym, dst, tid in base[s]:
+            node = (dst, monitor.step(q, tid))
             j = index.get(node)
             if j is None:
                 j = len(nodes)
                 index[node] = j
                 nodes.append(node)
-            edges.append(e._replace(src=i, dst=j))
+            row.append((sym, j, tid))
+        rows.append(row)
         i += 1
     flags = [q in monitor.accepting for _, q in nodes]
     return _estimate(
-        graph_adjacency(len(nodes), edges, obs),
+        rows,
         flags,
         nodes,
         lambda node: f"s{node[0]}|{node[1]}",

@@ -262,6 +262,13 @@ def test_negative_max_depth_is_exit_2(capsys):
     assert err.startswith("fssm: error:") and "max_depth" in err
 
 
+def test_zero_max_states_is_exit_2(capsys):
+    code, out, err = run(capsys, ["explore", "net2.json", "--max-states", "0"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("fssm: error:") and "max_states" in err
+
+
 def test_explore_limit_flags(capsys):
     code, out, _ = run(
         capsys, ["explore", "net2.json", "--max-states", "1", "--format", "json"]

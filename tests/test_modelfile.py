@@ -125,6 +125,7 @@ def _mutations():
           "/initial_markings/0/p1/0/count"),
         m("net1", lambda d: set_in(d, "initial_markings", 0, "p1", "zzz"),
           "/initial_markings/0/p1"),
+        m("net1", lambda d: set_in(d, "initial_markings", []), "/initial_markings"),
         m("net1", lambda d: set_in(d, "observations", "u_map", "t_up", 4),
           "/observations/u_map/t_up"),
         m("net1", lambda d: set_in(d, "observations", "u_map", "default", "by_rank:Public"),

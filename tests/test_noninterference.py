@@ -33,13 +33,13 @@ from fssm.corpus import random_net, random_obs
 def automaton_language(a, max_len):
     """All accepted strings up to max_len; every state accepts."""
     lang = set()
-    frontier = [(a.initial, ())]
+    frontier = [(0, ())]
     while frontier:
         state, word = frontier.pop()
         lang.add(word)
         if len(word) == max_len:
             continue
-        for (s, sym), dst in a.transitions.items():
+        for (s, sym), dst in a.edges.items():
             if s == state:
                 frontier.append((dst, word + (sym,)))
     return lang
@@ -275,9 +275,9 @@ def test_snni_bijective_renaming():
 
 
 def _accepts(a, word):
-    state = a.initial
+    state = 0
     for sym in word:
-        state = a.transitions.get((state, sym))
+        state = a.edges.get((state, sym))
         if state is None:
             return False
     return True

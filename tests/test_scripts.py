@@ -1,0 +1,32 @@
+"""The scripts under ``scripts/`` run on small inputs and print their summary.
+
+Each runs as its own process, as a user starts it; the scripts put ``src``
+on the import path themselves.
+"""
+
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+@pytest.mark.parametrize(
+    "script,args,expected",
+    [
+        ("bench_statespace.py", ["--counters", "2", "--bound", "3"], "observer: 16 macro states"),
+        ("sweep_opacity.py", ["--instances", "5"], "5 instances"),
+    ],
+    ids=["bench_statespace", "sweep_opacity"],
+)
+def test_script_runs(script, args, expected):
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / script), *args],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert expected in proc.stdout
