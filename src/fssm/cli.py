@@ -196,7 +196,8 @@ def cmd_check_blp(args, bundle: ModelBundle):
     if args.static:
         rep = static_blp_check(bundle.net, cfg)
     else:
-        rep = dynamic_blp_check(bundle.net, cfg, limits=_limits(args))
+        g = explore(bundle.net, _limits(args))
+        rep = dynamic_blp_check(bundle.net, cfg, graph=g)
     return rep.verdict, dict(
         static=args.static,
         rules=[

@@ -110,8 +110,8 @@ def graph_adjacency(g: ReachabilityGraph, obs: ObsMap):
     return rows
 
 
-def subset_construction(rows, initial_set) -> Observer:
-    """Observer of an adjacency like ``graph_adjacency``'s, from ``initial_set``.
+def subset_construction(rows) -> Observer:
+    """Observer of an adjacency like ``graph_adjacency``'s, from state 0.
 
     Symbols are expanded in sorted order, so numbering is deterministic.
     """
@@ -127,7 +127,7 @@ def subset_construction(rows, initial_set) -> Observer:
                     todo.append(dst)
         return frozenset(acc)
 
-    start = closure(initial_set)
+    start = closure({0})
     macros = [start]
     index = {start: 0}
     parents: list[Optional[tuple[int, str]]] = [None]
@@ -154,7 +154,7 @@ def subset_construction(rows, initial_set) -> Observer:
 
 def project(g: ReachabilityGraph, obs: ObsMap) -> Observer:
     """Observer of g's observation language from its initial state."""
-    return subset_construction(graph_adjacency(g, obs), {0})
+    return subset_construction(graph_adjacency(g, obs))
 
 
 def language_diff_witness(a: Observer, b: Observer) -> Optional[tuple[str, ...]]:
@@ -215,8 +215,8 @@ def check_snni(
         obs = coarsen_obs(obs, {tid: s for tid, s in symbols.items() if s is not None})
     g = explore(net, limits)
     rows = graph_adjacency(g, obs)
-    a = subset_construction(rows, {0})
-    b = subset_construction([[r for r in row if r[0] is not None] for row in rows], {0})
+    a = subset_construction(rows)
+    b = subset_construction([[r for r in row if r[0] is not None] for row in rows])
     backwards = language_diff_witness(b, a)
     if backwards is not None:
         raise FssmError(

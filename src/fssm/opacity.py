@@ -119,7 +119,7 @@ def _estimate(rows, secret_flags, keys, label, bounded):
 
     ``keys[i]`` orders node ``i`` in ``exposed`` and ``label`` renders it.
     """
-    observer = subset_construction(rows, {0})
+    observer = subset_construction(rows)
     for idx, macro in enumerate(observer.macro_states):
         if all(secret_flags[s] for s in macro):
             witness = observer.observation_to(idx)

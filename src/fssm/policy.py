@@ -1,27 +1,28 @@
 """Bell-LaPadula checking and user marking invariants over explored graphs.
 
-Static checks read only declarations and over-approximate (warnings);
-dynamic checks evaluate the three flow rules on every explored firing.
-Violations carry shortest witness paths and replay against the net.
+One evaluator holds the three flow rules.  Dynamic checks apply it to every
+explored firing; static checks apply it to each transition's worst case,
+every input token at its place's cloud clearance, and over-approximate the
+dynamic rules while containment holds (warnings).  Violations carry
+shortest witness paths and replay against the net.
 """
 
 from __future__ import annotations
 
 import operator
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .errors import FssmError, UnresolvedReference
 from .lattice import is_identifier
-from .model import FssmNet, Marking
+from .model import DataToken, FssmNet, Marking
 from .statespace import (
-    ExploreLimits,
+    Binding,
     FlowRecord,
     GraphStats,
     ReachabilityGraph,
     enabled_bindings,
-    explore,
     fire,
     flow_of,
 )
@@ -296,96 +297,15 @@ def predicate_to_obj(p: PredicateExpr):
 
 
 # --------------------------------------------------------------------------
-# static BLP
-
-
-def static_blp_check(net: FssmNet, cfg: BlpConfig | None = None) -> PolicyReport:
-    """Declaration-only warnings; over-approximates the dynamic rules.
-
-    A transition is flagged when its declared clearances alone cannot rule
-    out a violation: an input place in a cloud it may not read, an output
-    place below its clearance, or a possible produced level (join of input
-    clouds and floor) exceeding an output cloud.
-    """
-    cfg = cfg or BlpConfig()
-    lat = net.lattice
-    violations = []
-    for t in net.transitions:
-        in_clouds = sorted(
-            {net.place_by_id[a.place].cloud for a in t.inputs}
-        )
-        out_clouds = sorted(
-            {net.place_by_id[a.place].cloud for a in t.outputs}
-        )
-        if cfg.no_read_up:
-            for cid in in_clouds:
-                c = net.cloud_by_id[cid].clearance
-                if not lat.leq(c, t.clearance):
-                    violations.append(
-                        Violation(
-                            kind="read_up",
-                            transition=t.id,
-                            state=0,
-                            witness=(),
-                            detail=(
-                                f"input place cloud {cid} at {c} "
-                                f"not below clearance {t.clearance}"
-                            ),
-                        )
-                    )
-                    break
-        if cfg.no_write_down:
-            for cid in out_clouds:
-                c = net.cloud_by_id[cid].clearance
-                if not lat.leq(t.clearance, c):
-                    violations.append(
-                        Violation(
-                            kind="write_down",
-                            transition=t.id,
-                            state=0,
-                            witness=(),
-                            detail=(
-                                f"clearance {t.clearance} not below "
-                                f"output place cloud {cid} at {c}"
-                            ),
-                        )
-                    )
-                    break
-        if cfg.containment:
-            bound = lat.join(
-                lat.join_all(net.cloud_by_id[cid].clearance for cid in in_clouds),
-                t.floor,
-            )
-            for cid in out_clouds:
-                c = net.cloud_by_id[cid].clearance
-                if not lat.leq(bound, c):
-                    violations.append(
-                        Violation(
-                            kind="containment",
-                            transition=t.id,
-                            state=0,
-                            witness=(),
-                            detail=(
-                                f"possible output level {bound} exceeds "
-                                f"cloud {cid} at {c}"
-                            ),
-                        )
-                    )
-                    break
-    return PolicyReport(
-        verdict=_verdict(bool(violations), False),
-        violations=tuple(violations),
-        explored=GraphStats(0, 0, 0),
-        truncated=False,
-    )
-
-
-# --------------------------------------------------------------------------
-# dynamic BLP
+# BLP rules
 
 
 def _flow_violations(net: FssmNet, cfg: BlpConfig, t_id: str, flow: FlowRecord):
-    """Yield (kind, detail) pairs for one firing."""
+    """Yield (kind, detail) pairs for one firing's flow.
+
+    The three rules live only here: static, dynamic and replay checking
+    differ only in where the flow's token levels come from.
+    """
     lat = net.lattice
     t = net.transition_by_id[t_id]
     if cfg.no_read_up:
@@ -420,30 +340,58 @@ def _flow_violations(net: FssmNet, cfg: BlpConfig, t_id: str, flow: FlowRecord):
                 break
 
 
+# --------------------------------------------------------------------------
+# static BLP
+
+
+def static_blp_check(net: FssmNet, cfg: BlpConfig | None = None) -> PolicyReport:
+    """The dynamic rules applied to each transition's worst case.
+
+    Every input arc holds a token at its place's cloud clearance, the
+    highest level containment lets that place hold, so while containment
+    holds this over-approximates the dynamic check (warnings only).
+    """
+    cfg = cfg or BlpConfig()
+    violations = []
+    for t in net.transitions:
+        worst = Binding(
+            t.id,
+            tuple((a, DataToken(a.pattern, net.place_clearance(a.place))) for a in t.inputs),
+        )
+        for kind, detail in _flow_violations(net, cfg, t.id, flow_of(net, worst)):
+            violations.append(Violation(kind, t.id, 0, (), detail))
+    return PolicyReport(
+        verdict=_verdict(bool(violations), False),
+        violations=tuple(violations),
+        explored=GraphStats(0, 0, 0),
+        truncated=False,
+    )
+
+
+# --------------------------------------------------------------------------
+# dynamic BLP
+
+
 def dynamic_blp_check(
-    net: FssmNet,
-    cfg: BlpConfig | None = None,
-    limits: ExploreLimits | None = None,
-    graph: ReachabilityGraph | None = None,
+    net: FssmNet, cfg: BlpConfig | None = None, *, graph: ReachabilityGraph
 ) -> PolicyReport:
-    """Explore the net and evaluate the BLP rules on every firing.
+    """Evaluate the BLP rules on every firing of an explored graph.
 
     Each edge's flow comes from the binding the graph names for its
-    (transition, digest), so nothing is fired; a given ``graph`` must come
-    from ``explore``, which names them.  Edges come out of the graph
-    in breadth-first order, so the first hit per (transition, kind) carries
+    (transition, digest), so nothing is fired; ``graph`` must come from
+    ``explore``, which names them.  Edges come out of the graph in
+    breadth-first order, so the first hit per (transition, kind) carries
     a shortest witness; later hits only add to its count.
     """
     cfg = cfg or BlpConfig()
-    g = graph if graph is not None else explore(net, limits)
     kinds_of: dict[tuple[str, str], tuple] = {}
     first: dict[tuple[str, str], tuple] = {}  # (transition, kind) -> (edge, detail)
     hits: Counter = Counter()
-    for e in g.edges:
+    for e in graph.edges:
         key = (e.transition, e.binding)
         kinds = kinds_of.get(key)
         if kinds is None:
-            flow = flow_of(net, g.bindings[key])
+            flow = flow_of(net, graph.bindings[key])
             kinds = kinds_of[key] = tuple(_flow_violations(net, cfg, e.transition, flow))
         for kind, detail in kinds:
             first.setdefault((e.transition, kind), (e, detail))
@@ -453,17 +401,17 @@ def dynamic_blp_check(
             kind=kind,
             transition=t_id,
             state=e.dst,
-            witness=g.path_to(e.src) + (t_id,),
+            witness=graph.path_to(e.src) + (t_id,),
             detail=detail,
             count=hits[(t_id, kind)],
         )
         for (t_id, kind), (e, detail) in sorted(first.items())
     )
     return PolicyReport(
-        verdict=_verdict(bool(violations), g.truncated),
+        verdict=_verdict(bool(violations), graph.truncated),
         violations=violations,
-        explored=g.stats,
-        truncated=g.truncated,
+        explored=graph.stats,
+        truncated=graph.truncated,
     )
 
 

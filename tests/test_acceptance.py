@@ -202,16 +202,17 @@ def test_criterion_4_snni_oracle_agreement(net2, net3):
 
 def test_criterion_5_blp_witness_replay(net1, net3, net1_leak):
     kinds = lambda rep: {(v.transition, v.kind) for v in rep.violations}
-    clean = dynamic_blp_check(net1, BlpConfig())
+    clean = dynamic_blp_check(net1, BlpConfig(), graph=explore(net1))
     fix_ok = (
         clean.verdict == "holds"
-        and kinds(dynamic_blp_check(net3, BlpConfig())) == {("t_sig", "read_up")}
-        and kinds(dynamic_blp_check(net1_leak, BlpConfig()))
+        and kinds(dynamic_blp_check(net3, BlpConfig(), graph=explore(net3)))
+        == {("t_sig", "read_up")}
+        and kinds(dynamic_blp_check(net1_leak, BlpConfig(), graph=explore(net1_leak)))
         == {("t_leak", "write_down"), ("t_leak", "containment")}
     )
     replayed = failed = 0
     for net in (net1, net3, net1_leak):
-        for v in dynamic_blp_check(net, BlpConfig()).violations:
+        for v in dynamic_blp_check(net, BlpConfig(), graph=explore(net)).violations:
             replayed += 1
             if not replay_witness(net, v):
                 failed += 1
@@ -225,7 +226,7 @@ def test_criterion_5_blp_witness_replay(net1, net3, net1_leak):
     rng = random.Random(50_005)
     for _ in range(150):
         net, _ = random_net(rng, acyclic=bool(rng.random() < 0.5))
-        for v in dynamic_blp_check(net, BlpConfig()).violations:
+        for v in dynamic_blp_check(net, BlpConfig(), graph=explore(net)).violations:
             replayed += 1
             if not replay_witness(net, v):
                 failed += 1
@@ -261,7 +262,7 @@ def test_criterion_6_allocation_bridge(lat2, wf1):
             ):
                 brute.append(a.assignment)
             net = synthesize_net(wf, a, lat, clouds, bypass_validity=True)
-            holds = dynamic_blp_check(net, CONTAIN_ONLY).verdict == "holds"
+            holds = dynamic_blp_check(net, CONTAIN_ONLY, graph=explore(net)).verdict == "holds"
             synth_checked += 1
             if holds != (a.assignment in valid_set):
                 mismatches += 1

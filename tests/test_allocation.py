@@ -230,7 +230,7 @@ def test_synthesize_wf1(lat2, wf1):
     assert len(net.transitions) == 3
     g = explore(net)
     assert (len(g.states), len(g.edges)) == (6, 7)
-    report = dynamic_blp_check(net, BlpConfig())
+    report = dynamic_blp_check(net, BlpConfig(), graph=explore(net))
     assert report.verdict == "holds"
 
 
@@ -247,7 +247,7 @@ def test_synthesize_bypass_shows_containment_breach(lat2, wf1):
     wf, clouds, _ = wf1
     bad = allocation_of({"t1": "Cpub", "t2": "Cpub"})
     net = synthesize_net(wf, bad, lat2, clouds, bypass_validity=True)
-    report = dynamic_blp_check(net, CONTAIN_ONLY)
+    report = dynamic_blp_check(net, CONTAIN_ONLY, graph=explore(net))
     assert report.verdict == "violated"
     assert {v.transition for v in report.violations if v.kind == "containment"} == {"t2"}
 
@@ -310,7 +310,7 @@ def test_synthesis_containment_mirrors_validity():
             if not lat.leq(wf.touch_join(t.id, lat), by_id[a.cloud_of(t.id)].clearance)
         }
         net = synthesize_net(wf, a, lat, clouds, bypass_validity=True)
-        report = dynamic_blp_check(net, CONTAIN_ONLY)
+        report = dynamic_blp_check(net, CONTAIN_ONLY, graph=explore(net))
         task_ids = {t.id for t in wf.tasks}
         flagged = {v.transition for v in report.violations if v.transition in task_ids}
         assert flagged == invalid

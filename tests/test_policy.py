@@ -1,6 +1,7 @@
 """BLP rules, predicate invariants, and witness machinery."""
 
 import dataclasses
+import itertools
 import random
 
 import pytest
@@ -174,14 +175,14 @@ def test_config_needs_one_rule():
 
 
 def test_dynamic_net1_holds(net1):
-    rep = dynamic_blp_check(net1)
+    rep = dynamic_blp_check(net1, graph=explore(net1))
     assert rep.verdict == "holds"
     assert not rep.truncated
     assert rep.explored.states == 2
 
 
 def test_dynamic_net3_read_up(net3):
-    rep = dynamic_blp_check(net3)
+    rep = dynamic_blp_check(net3, graph=explore(net3))
     assert rep.verdict == "violated"
     vmap = by_kind(rep)
     assert set(vmap) == {("t_sig", "read_up")}
@@ -189,7 +190,7 @@ def test_dynamic_net3_read_up(net3):
 
 
 def test_dynamic_leak_both_kinds(net1_leak):
-    rep = dynamic_blp_check(net1_leak)
+    rep = dynamic_blp_check(net1_leak, graph=explore(net1_leak))
     vmap = by_kind(rep)
     assert set(vmap) == {("t_leak", "write_down"), ("t_leak", "containment")}
     for v in vmap.values():
@@ -199,7 +200,7 @@ def test_dynamic_leak_both_kinds(net1_leak):
 def test_dynamic_dedup_counts(net1_leak):
     # t_leak cycles: t_up/t_leak alternate, so the pair recurs; counts
     # grow while the violation list stays deduplicated
-    rep = dynamic_blp_check(net1_leak)
+    rep = dynamic_blp_check(net1_leak, graph=explore(net1_leak))
     assert len(rep.violations) == 2
     # cyclic graph: each edge evaluated once, count per (transition, kind) is 1 here
     assert all(v.count >= 1 for v in rep.violations)
@@ -226,7 +227,7 @@ def test_dynamic_truncated_verdict():
     from test_statespace import _generator_net
 
     net = _generator_net()
-    rep = dynamic_blp_check(net, limits=ExploreLimits(max_states=5))
+    rep = dynamic_blp_check(net, graph=explore(net, ExploreLimits(max_states=5)))
     assert rep.truncated
     assert rep.verdict in ("holds_up_to_bound", "violated")
 
@@ -245,6 +246,60 @@ def test_static_soundness_under_containment():
             checked += 1
             assert (v.transition, v.kind) in static_pairs
     assert checked > 0
+
+
+def _declared_blp_pairs(net, cfg):
+    """Oracle: the rules read off the declared clearances alone."""
+    lat = net.lattice
+    pairs = []
+    for t in net.transitions:
+        ins = [net.place_clearance(a.place) for a in t.inputs]
+        outs = [net.place_clearance(a.place) for a in t.outputs]
+        bound = lat.join(lat.join_all(ins), t.floor)
+        if cfg.no_read_up and any(not lat.leq(c, t.clearance) for c in ins):
+            pairs.append((t.id, "read_up"))
+        if cfg.no_write_down and any(not lat.leq(t.clearance, c) for c in outs):
+            pairs.append((t.id, "write_down"))
+        if cfg.containment and any(not lat.leq(bound, c) for c in outs):
+            pairs.append((t.id, "containment"))
+    return pairs
+
+
+def test_static_is_declaration_reading(lat2, net3):
+    """Static checking, the dynamic rules on each transition's worst case,
+    flags what the declarations alone predict, in the same order."""
+    cfgs = [BlpConfig(*on) for on in itertools.product((True, False), repeat=3) if any(on)]
+    flagged = 0
+    for seed in range(3):
+        for acyclic in (True, False):
+            rng = random.Random(seed)
+            for _ in range(300):
+                net, _ = random_net(rng, acyclic=acyclic)
+                for cfg in cfgs:
+                    rep = static_blp_check(net, cfg)
+                    got = [(v.transition, v.kind) for v in rep.violations]
+                    assert got == _declared_blp_pairs(net, cfg), (net, cfg)
+                    flagged += bool(got)
+    assert flagged > 1000
+
+    (static,) = static_blp_check(net3).violations
+    (dynamic,) = dynamic_blp_check(net3, graph=explore(net3)).violations
+    assert static.detail == dynamic.detail
+
+    net = build_net(
+        lat2,
+        [Cloud("Cpriv", "Secret")],
+        [Place("p", "Cpriv")],
+        [
+            TaskTransition(
+                "t", cloud="Cpriv", clearance="Public", floor="Public",
+                inputs=(ArcIn("p", "read", "*"),), outputs=(),
+            )
+        ],
+        [marking_of({})],
+    )
+    (v,) = static_blp_check(net).violations
+    assert v.detail == "input *@Secret at p above clearance Public"
 
 
 # --------------------------------------------------------------------------
@@ -296,7 +351,7 @@ def test_invariant_counts_all_offenders(net1_leak):
 
 def test_replay_fixture_witnesses(net3, net1_leak):
     for net in (net3, net1_leak):
-        rep = dynamic_blp_check(net)
+        rep = dynamic_blp_check(net, graph=explore(net))
         for v in rep.violations:
             assert replay_witness(net, v)
 
@@ -310,7 +365,7 @@ def test_replay_invariant_witness(net1):
 
 
 def test_replay_rejects_tampered_witness(net3):
-    rep = dynamic_blp_check(net3)
+    rep = dynamic_blp_check(net3, graph=explore(net3))
     (v,) = rep.violations
     import dataclasses
 
