@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -376,10 +377,14 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+# built on the first ``main`` call, not at import; ``parse_args`` returns a
+# fresh namespace each call, so repeated calls in one process share nothing else
+_parser = functools.cache(build_parser)
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else 2
     if args.jobs < 1:

@@ -94,71 +94,48 @@ def build_lattice(level_names: list[str], covers: list[tuple[str, str]]) -> Secu
     index = {name: i for i, name in enumerate(levels)}
     n = len(levels)
 
-    # reflexive-transitive closure of the covers
-    below = [[False] * n for _ in range(n)]
-    for i in range(n):
-        below[i][i] = True
+    # reflexive-transitive closure of the covers, one bitmask per level:
+    # bit c of up[i] is set iff levels[i] <= levels[c] (Warshall over ints)
+    up = [1 << i for i in range(n)]
     for lo, hi in covers:
-        below[index[lo]][index[hi]] = True
+        up[index[lo]] |= 1 << index[hi]
     for k in range(n):
-        bk = below[k]
+        bit, uk = 1 << k, up[k]
         for i in range(n):
-            if below[i][k]:
-                bi = below[i]
-                for j in range(n):
-                    if bk[j]:
-                        bi[j] = True
+            if up[i] & bit:
+                up[i] |= uk
+    down = [sum(1 << i for i in range(n) if up[i] >> c & 1) for c in range(n)]
 
     for i in range(n):
         for j in range(i + 1, n):
-            if below[i][j] and below[j][i]:
-                raise OrderCycle(
-                    f"levels {levels[i]!r} and {levels[j]!r} order each other"
-                )
+            if up[i] == up[j]:  # each is above the other
+                raise OrderCycle(f"levels {levels[i]!r} and {levels[j]!r} order each other")
 
+    # the join of i and j is the level whose up-set is exactly their common
+    # up-set, the meet likewise with down-sets; no such level, no unique bound
+    by_up = {u: c for c, u in enumerate(up)}
+    by_down = {d: c for c, d in enumerate(down)}
     joins: dict[tuple[str, str], str] = {}
     meets: dict[tuple[str, str], str] = {}
     for i in range(n):
-        for j in range(n):
-            lub = _unique_bound(below, n, i, j, upper=True)
-            if lub is None:
-                raise NotALattice(
-                    f"levels {levels[i]!r} and {levels[j]!r} have no unique "
-                    "least upper bound",
-                    witness=(levels[i], levels[j]),
-                )
-            glb = _unique_bound(below, n, i, j, upper=False)
-            if glb is None:
-                raise NotALattice(
-                    f"levels {levels[i]!r} and {levels[j]!r} have no unique "
-                    "greatest lower bound",
-                    witness=(levels[i], levels[j]),
-                )
-            joins[(levels[i], levels[j])] = levels[lub]
-            meets[(levels[i], levels[j])] = levels[glb]
+        for j in range(i, n):
+            a, b = levels[i], levels[j]
+            lub = by_up.get(up[i] & up[j])
+            glb = by_down.get(down[i] & down[j])
+            for bound, what in ((lub, "least upper bound"), (glb, "greatest lower bound")):
+                if bound is None:
+                    raise NotALattice(
+                        f"levels {a!r} and {b!r} have no unique {what}", witness=(a, b)
+                    )
+            joins[(a, b)] = joins[(b, a)] = levels[lub]
+            meets[(a, b)] = meets[(b, a)] = levels[glb]
 
-    top = levels[0]
-    bottom = levels[0]
-    for name in levels[1:]:
-        top = joins[(top, name)]
-        bottom = meets[(bottom, name)]
-
+    everything = (1 << n) - 1
+    top, bottom = levels[by_down[everything]], levels[by_up[everything]]
     order = frozenset(
-        (levels[i], levels[j]) for i in range(n) for j in range(n) if below[i][j]
+        (levels[i], levels[j]) for i in range(n) for j in range(n) if up[i] >> j & 1
     )
     return SecurityLattice(
         levels=levels, order=order, top=top, bottom=bottom, joins=joins, meets=meets
     )
 
-
-def _unique_bound(below, n, i, j, upper):
-    if upper:
-        bounds = [c for c in range(n) if below[i][c] and below[j][c]]
-        dominated = lambda c, d: below[c][d]
-    else:
-        bounds = [c for c in range(n) if below[c][i] and below[c][j]]
-        dominated = lambda c, d: below[d][c]
-    for c in bounds:
-        if all(dominated(c, d) for d in bounds):
-            return c
-    return None

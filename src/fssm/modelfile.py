@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .allocation import CloudSpec, CostModel, Workflow, build_workflow
-from .errors import FssmError, ModelSyntaxError, SchemaError
+from .errors import DanglingReference, FssmError, ModelSyntaxError, SchemaError
 from .lattice import SecurityLattice, build_lattice
 from .model import (
     ArcIn,
@@ -80,6 +80,13 @@ def _at(path: str):
         if getattr(e, "path", None) is None:
             e.path = path
         raise
+
+
+def _level(lat: SecurityLattice, level: str, path: str) -> str:
+    """``level``, once the lattice knows it; a fault is reported at ``path``."""
+    with _at(path):
+        lat.check_level(level)
+    return level
 
 
 def _require(obj, key: str, kind, path: str):
@@ -157,7 +164,7 @@ def parse_model(text: str) -> ModelBundle:
 
     lat = _parse_lattice(_require(doc, "lattice", dict, ""))
     clouds = [
-        _parse_cloud(c, f"/clouds/{i}")
+        _parse_cloud(c, lat, f"/clouds/{i}")
         for i, c in enumerate(_opt(doc, "clouds", list, "", []))
     ]
     places = [
@@ -171,7 +178,11 @@ def parse_model(text: str) -> ModelBundle:
     initial_docs = _opt(doc, "initial_markings", list, "", [{}])
     if not initial_docs:
         raise SchemaError("at least one initial marking is required", path="/initial_markings")
-    initials = [_parse_marking(m, f"/initial_markings/{i}") for i, m in enumerate(initial_docs)]
+    place_ids = {p.id for p in places}
+    initials = [
+        _parse_marking(m, lat, place_ids, f"/initial_markings/{i}")
+        for i, m in enumerate(initial_docs)
+    ]
     with _at("/"):
         net = build_net(
             lattice=lat,
@@ -191,9 +202,7 @@ def parse_model(text: str) -> ModelBundle:
     for name, level in sorted(_opt(doc, "observers", dict, "", {}).items()):
         if not isinstance(level, str):
             raise SchemaError("observer alias must be a level name", path=f"/observers/{name}")
-        with _at(f"/observers/{name}"):
-            lat.check_level(level)
-        observers.append((name, level))
+        observers.append((name, _level(lat, level, f"/observers/{name}")))
 
     workflow = None
     cloud_specs: tuple[CloudSpec, ...] = ()
@@ -232,12 +241,13 @@ def _parse_lattice(obj) -> SecurityLattice:
         return build_lattice(levels, covers)
 
 
-def _parse_cloud(obj, path: str) -> Cloud:
+def _parse_cloud(obj, lat: SecurityLattice, path: str) -> Cloud:
     if not isinstance(obj, dict):
         raise SchemaError("cloud must be an object", path=path)
     _no_extras(obj, {"id", "clearance"}, path)
     return Cloud(
-        id=_require(obj, "id", str, path), clearance=_require(obj, "clearance", str, path)
+        id=_require(obj, "id", str, path),
+        clearance=_level(lat, _require(obj, "clearance", str, path), f"{path}/clearance"),
     )
 
 
@@ -287,20 +297,25 @@ def _parse_transition(obj, lat: SecurityLattice, path: str) -> TaskTransition:
     return TaskTransition(
         id=_require(obj, "id", str, path),
         cloud=_require(obj, "cloud", str, path),
-        clearance=_require(obj, "clearance", str, path),
-        floor=_opt(obj, "floor", str, path, lat.bottom),
+        clearance=_level(lat, _require(obj, "clearance", str, path), f"{path}/clearance"),
+        floor=_level(lat, _opt(obj, "floor", str, path, lat.bottom), f"{path}/floor"),
         inputs=tuple(inputs),
         outputs=tuple(outputs),
     )
 
 
-def _parse_marking(obj, path: str) -> Marking:
+def _parse_marking(obj, lat: SecurityLattice, place_ids: set, path: str) -> Marking:
     if not isinstance(obj, dict):
         raise SchemaError("marking must be an object", path=path)
     contents: dict[str, list[tuple[str, str, int]]] = {}
     for pid, tokens in obj.items():
         if not isinstance(tokens, list):
             raise SchemaError("expected a token list", path=f"{path}/{pid}")
+        # checked here: ``Marking`` drops a place whose token list is empty
+        if pid not in place_ids:
+            raise DanglingReference(
+                f"marking references unknown place {pid!r}", path=f"{path}/{pid}"
+            )
         entries = []
         for i, tok in enumerate(tokens):
             tpath = f"{path}/{pid}/{i}"
@@ -313,7 +328,7 @@ def _parse_marking(obj, path: str) -> Marking:
             entries.append(
                 (
                     _require(tok, "class", str, tpath),
-                    _require(tok, "level", str, tpath),
+                    _level(lat, _require(tok, "level", str, tpath), f"{tpath}/level"),
                     count,
                 )
             )
@@ -335,9 +350,7 @@ def _parse_obs(spec, net: FssmNet, path: str) -> ObsMap:
                 raise SchemaError(
                     'default must be "by_clearance:<level>"', path=f"{path}/default"
                 )
-            fallback_level = sym[len(_BY_CLEARANCE):]
-            with _at(f"{path}/default"):
-                net.lattice.check_level(fallback_level)
+            fallback_level = _level(net.lattice, sym[len(_BY_CLEARANCE):], f"{path}/default")
             continue
         if sym is not None and not isinstance(sym, str):
             raise SchemaError("symbol must be a string or null", path=f"{path}/{tid}")

@@ -221,6 +221,16 @@ def test_no_feasible_allocation_is_verdict_not_crash(tmp_path, monkeypatch, caps
     assert "t2" in obj["detail"]
 
 
+def test_unknown_place_with_empty_token_list_is_exit_2(tmp_path, monkeypatch, capsys):
+    doc = json.loads((FIXTURES / "net1.json").read_text())
+    doc["initial_markings"].append({"zz": []})
+    (tmp_path / "ghost_place.json").write_text(json.dumps(doc))
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, ["validate", "ghost_place.json"])
+    assert (code, out) == (2, "")
+    assert err == "fssm: error: /initial_markings/1/zz: marking references unknown place 'zz'\n"
+
+
 def test_strict_limits_turn_truncation_into_error(capsys):
     code, _, err = run(
         capsys,
@@ -311,6 +321,48 @@ def test_version_flag(capsys):
 def test_missing_subcommand_is_exit_2(capsys):
     assert run(capsys, [])[0] == 2
     assert run(capsys, ["check"])[0] == 2
+
+
+# flags that differ between neighbours: a value one call parsed must not
+# reach the next one through the parser that ``main`` reuses
+_REUSE_SEQUENCE = [
+    ["validate", "net1.json", "--format", "json"],
+    ["validate", "net1.json"],
+    ["check", "blp", "net3.json", "--static", "--format", "json"],
+    ["check", "blp", "net3.json", "--format", "json"],
+    ["check", "blp", "net3.json", "--rules", "containment", "--format", "json"],
+    ["check", "blp", "net3.json"],
+    [
+        "check", "opacity", "net1.json",
+        "--secret", "mon_up", "--obs", "u_map", "--kind", "run", "--format", "json",
+    ],
+    ["check", "opacity", "net1.json", "--secret", "sec_p2", "--obs", "u_map", "--format", "json"],
+    ["explore", "net2.json", "--max-states", "1", "--strict-limits"],
+    ["explore", "net2.json", "--max-states", "1", "--format", "json"],
+    ["check", "blp", "--static"],
+    ["--version"],
+]
+
+
+def test_reused_parser_carries_nothing_between_calls(capsys):
+    import fssm.cli as cli_mod
+
+    def first_run(argv):
+        cli_mod._parser.cache_clear()
+        return run(capsys, argv)
+
+    want = [first_run(argv) for argv in _REUSE_SEQUENCE]
+    assert [w[0] for w in want] == [0, 0, 1, 1, 0, 1, 1, 1, 2, 0, 2, 0]
+    assert want[1][1] == (GOLDEN / "validate_net1.txt").read_text()
+    assert want[3][1] == (GOLDEN / "blp_net3.json").read_text()
+    assert want[6][1] == (GOLDEN / "opacity_run.json").read_text()
+
+    cli_mod._parser.cache_clear()
+    parser = cli_mod._parser()
+    pairs = list(zip(_REUSE_SEQUENCE, want))
+    for argv, expected in pairs + pairs[::-1]:
+        assert run(capsys, argv) == expected, argv
+    assert cli_mod._parser() is parser
 
 
 def test_parser_help_smoke():

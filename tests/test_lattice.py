@@ -163,6 +163,133 @@ def test_random_lattices_are_lattices():
         _axioms(random_lattice(rng))
 
 
+# -- builder against the definitional search -----------------------------------
+
+
+def reference_build(level_names, covers):
+    """Lattice tables by the definitions: a boolean closure matrix, and for
+    each ordered pair a scan of its common bounds for one that all others
+    dominate.  Returns (order, joins, meets, top, bottom) or raises as
+    ``build_lattice`` does once the names and covers are well formed."""
+    levels = tuple(sorted(set(level_names)))
+    index = {name: i for i, name in enumerate(levels)}
+    n = len(levels)
+    below = [[i == j for j in range(n)] for i in range(n)]
+    for lo, hi in covers:
+        below[index[lo]][index[hi]] = True
+    for k in range(n):
+        for i in range(n):
+            if below[i][k]:
+                for j in range(n):
+                    if below[k][j]:
+                        below[i][j] = True
+    for i in range(n):
+        for j in range(i + 1, n):
+            if below[i][j] and below[j][i]:
+                raise OrderCycle(f"levels {levels[i]!r} and {levels[j]!r} order each other")
+
+    def unique_bound(i, j, upper):
+        if upper:
+            bounds = [c for c in range(n) if below[i][c] and below[j][c]]
+            dominated = lambda c, d: below[c][d]
+        else:
+            bounds = [c for c in range(n) if below[c][i] and below[c][j]]
+            dominated = lambda c, d: below[d][c]
+        for c in bounds:
+            if all(dominated(c, d) for d in bounds):
+                return c
+        return None
+
+    joins, meets = {}, {}
+    for i in range(n):
+        for j in range(n):
+            for upper, table, what in (
+                (True, joins, "least upper bound"),
+                (False, meets, "greatest lower bound"),
+            ):
+                c = unique_bound(i, j, upper)
+                if c is None:
+                    raise NotALattice(
+                        f"levels {levels[i]!r} and {levels[j]!r} have no unique {what}",
+                        witness=(levels[i], levels[j]),
+                    )
+                table[(levels[i], levels[j])] = levels[c]
+    top = bottom = levels[0]
+    for name in levels[1:]:
+        top, bottom = joins[(top, name)], meets[(bottom, name)]
+    order = frozenset(
+        (levels[i], levels[j]) for i in range(n) for j in range(n) if below[i][j]
+    )
+    return order, joins, meets, top, bottom
+
+
+def _outcome(build, names, covers):
+    try:
+        lat = build(names, covers)
+    except (NotALattice, OrderCycle) as e:
+        return type(e), str(e), getattr(e, "witness", None)
+    if isinstance(lat, SecurityLattice):
+        return lat.order, lat.joins, lat.meets, lat.top, lat.bottom
+    return lat
+
+
+def test_builder_matches_reference_on_random_lattice_draws(monkeypatch):
+    import fssm.corpus as corpus
+
+    calls = []
+
+    def both(names, covers):
+        want = _outcome(reference_build, names, covers)
+        assert _outcome(build_lattice, names, covers) == want, (names, covers)
+        calls.append(names)
+        return build_lattice(names, covers)
+
+    monkeypatch.setattr(corpus, "build_lattice", both)
+    for seed in range(200):
+        corpus.random_lattice(random.Random(seed), max_levels=8)
+    assert len(calls) >= 200
+    assert max(len(names) for names in calls) == 8
+
+
+_M3_NO_TOP = (["a", "b", "bot", "c"], [("bot", "a"), ("bot", "b"), ("bot", "c")])
+_M3_NO_BOTTOM = (["a", "b", "c", "top"], [("a", "top"), ("b", "top"), ("c", "top")])
+
+
+def test_builder_matches_reference_on_random_relations():
+    # arbitrary cover relations: most are not lattices, some have cycles
+    rng = random.Random(2024)
+    kinds = set()
+    for _ in range(400):
+        names = rng.sample(["a", "b", "c", "d", "e", "f", "g"], rng.randint(1, 7))
+        covers = []
+        if len(names) > 1:
+            covers = [tuple(rng.sample(names, 2)) for _ in range(rng.randint(0, 8))]
+        want = _outcome(reference_build, names, covers)
+        assert _outcome(build_lattice, names, covers) == want, (names, covers)
+        kinds.add(want[0] if isinstance(want[0], type) else SecurityLattice)
+    assert kinds == {NotALattice, OrderCycle, SecurityLattice}
+
+
+@pytest.mark.parametrize(
+    "names,covers,kind,witness",
+    [
+        # y and z have no upper bound
+        (["x", "y", "z"], [("x", "y"), ("x", "z")], NotALattice, ("y", "z")),
+        (*_M3_NO_TOP, NotALattice, ("a", "b")),
+        (*_M3_NO_BOTTOM, NotALattice, ("a", "b")),
+        # c and d are both minimal upper bounds of a and b
+        (["a", "b", "c", "d"], [("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")],
+         NotALattice, ("a", "b")),
+        (["p", "q"], [("p", "q"), ("q", "p")], OrderCycle, None),
+    ],
+    ids=["two_maximal", "m3_no_top", "m3_no_bottom", "bowtie", "two_cycle"],
+)
+def test_non_lattices_match_reference(names, covers, kind, witness):
+    got = _outcome(build_lattice, names, covers)
+    assert got == _outcome(reference_build, names, covers)
+    assert got[0] is kind and got[2] == witness
+
+
 # -- property tests -----------------------------------------------------------
 
 import re

@@ -84,6 +84,37 @@ def test_observer_unknown_level():
     assert exc.value.path == "/observers/low"
 
 
+@pytest.mark.parametrize(
+    "path",
+    [
+        "/clouds/0/clearance",
+        "/transitions/0/clearance",
+        "/transitions/0/floor",
+        "/initial_markings/0/p1/0/level",
+    ],
+)
+def test_unknown_level_error_names_its_field(path):
+    doc = doc_of("net1")
+    *parents, field = [int(k) if k.isdigit() else k for k in path[1:].split("/")]
+    obj = doc
+    for k in parents:
+        obj = obj[k]
+    obj[field] = "Zed"
+    with pytest.raises(UnknownLevel) as exc:
+        reparse(doc)
+    assert exc.value.path == path
+    assert str(exc.value) == f"{path}: unknown security level 'Zed'"
+
+
+def test_initial_marking_names_unknown_place_with_no_tokens():
+    doc = doc_of("net1")
+    doc["initial_markings"] = [{"zz": []}]
+    with pytest.raises(DanglingReference) as exc:
+        reparse(doc)
+    assert exc.value.path == "/initial_markings/0/zz"
+    assert str(exc.value) == "/initial_markings/0/zz: marking references unknown place 'zz'"
+
+
 def test_obs_map_must_cover_net():
     doc = doc_of("net2")
     doc["observations"]["partial"] = {"t_up": "u"}
