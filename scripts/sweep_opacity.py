@@ -18,6 +18,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from fssm.corpus import random_lattice, random_net, random_obs, random_state_secret
 from fssm.opacity import check_current_state_opacity
+from fssm.policy import state_flags
 
 SILENCE_GRID = [0.0, 0.25, 0.5, 0.75, 1.0]
 
@@ -35,7 +36,7 @@ def main() -> None:
         lat = random_lattice(rng)
         net, g = random_net(rng, lat, max_states=40)
         secret = random_state_secret(rng, net)
-        reachable = any(secret.eval(net, m) for m in g.states)
+        reachable = any(state_flags(g, net, secret))
         cases.append((net, g, secret, reachable))
 
     n_reachable = sum(1 for *_, r in cases if r)

@@ -51,6 +51,7 @@ from .model import (
 )
 from .statespace import (
     Binding,
+    CompactStates,
     ExploreLimits,
     FlowRecord,
     GraphEdge,
@@ -72,6 +73,7 @@ from .policy import (
     parse_predicate,
     predicate_to_obj,
     replay_witness,
+    state_flags,
     static_blp_check,
 )
 from .noninterference import (

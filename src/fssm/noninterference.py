@@ -104,7 +104,7 @@ class Observer:
 
 def graph_adjacency(g: ReachabilityGraph, obs: ObsMap):
     """Per-state (symbol or None, dst, transition) lists in edge order."""
-    rows = [[] for _ in g.states]
+    rows = [[] for _ in range(len(g.states))]
     for e in g.edges:
         rows[e.src].append((obs.symbol_of(e.transition), e.dst, e.transition))
     return rows

@@ -14,7 +14,7 @@ from typing import Optional, Union
 from .errors import CyclicGraph, DepthTooSmall, FssmError, UnresolvedReference
 from .model import FssmNet
 from .noninterference import ObsMap, graph_adjacency, project, subset_construction
-from .policy import PredicateExpr
+from .policy import PredicateExpr, state_flags
 from .statespace import ReachabilityGraph
 
 
@@ -138,10 +138,9 @@ def check_current_state_opacity(
 ) -> OpacityVerdict:
     """Opaque iff no observation pins the system inside the secret markings."""
     secret.validate(net)
-    flags = [secret.eval(net, m) for m in g.states]
     return _estimate(
         graph_adjacency(g, obs),
-        flags,
+        state_flags(g, net, secret),
         range(len(g.states)),
         lambda s: f"s{s}",
         g.truncated,
@@ -233,7 +232,7 @@ def brute_force_opacity(
         secret.validate(net)
     else:
         secret.validate(net)
-        state_secret = [secret.eval(net, m) for m in g.states]
+        state_secret = state_flags(g, net, secret)
 
     groups: dict[tuple[str, ...], dict] = {}
 

@@ -12,13 +12,14 @@ from __future__ import annotations
 import operator
 from collections import Counter
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from .errors import FssmError, UnresolvedReference
 from .lattice import is_identifier
 from .model import DataToken, FssmNet, Marking
 from .statespace import (
     Binding,
+    CompactStates,
     FlowRecord,
     GraphStats,
     ReachabilityGraph,
@@ -83,6 +84,13 @@ class PredicateExpr:
     def eval(self, net: FssmNet, m: Marking) -> bool:
         raise NotImplementedError
 
+    def compile(self, net: FssmNet, compiled) -> Callable[[tuple], bool]:
+        """This predicate as a test on one of ``explore``'s compact states,
+        in the numbering of ``compiled`` (the ``CompactStates.compiled`` of
+        a graph explored from ``net``); it agrees with ``eval`` on the
+        decoded marking."""
+        raise NotImplementedError
+
     def render(self) -> str:
         raise NotImplementedError
 
@@ -106,6 +114,16 @@ class Contains(PredicateExpr):
             self.klass is None or tok.klass == self.klass
             for tok, _ in m.tokens_at(self.place)
         )
+
+    def compile(self, net, compiled):
+        p = compiled.place_idx[self.place]
+        if self.klass is None:
+            return lambda s: bool(s[p])
+        lo = compiled.class_base.get(self.klass)
+        if lo is None:  # no token of this class can arise
+            return lambda s: False
+        hi = lo + len(compiled.levels)
+        return lambda s: any(lo <= ty < hi for ty, _ in s[p])
 
     def render(self):
         if self.klass is None:
@@ -133,6 +151,12 @@ class ExistsTokenGeq(PredicateExpr):
                 if lat.leq(self.level, tok.level):
                     return True
         return False
+
+    def compile(self, net, compiled):
+        ps = [compiled.place_idx[p.id] for p in net.places if p.cloud == self.cloud]
+        above = [net.lattice.leq(self.level, lv) for lv in compiled.levels]
+        tys = frozenset(ty for ty, li in enumerate(compiled.tok_level) if above[li])
+        return lambda s: any(ty in tys for p in ps for ty, _ in s[p])
 
     def render(self):
         return f"exists_token_geq({self.cloud}, {self.level})"
@@ -164,6 +188,11 @@ class CountCmp(PredicateExpr):
     def eval(self, net, m):
         return _CMP[self.op](m.count(self.place), self.n)
 
+    def compile(self, net, compiled):
+        p = compiled.place_idx[self.place]
+        cmp, n = _CMP[self.op], self.n
+        return lambda s: cmp(sum(c for _, c in s[p]), n)
+
     def render(self):
         return f"count({self.place}) {self.op} {self.n}"
 
@@ -177,6 +206,10 @@ class Not(PredicateExpr):
 
     def eval(self, net, m):
         return not self.expr.eval(net, m)
+
+    def compile(self, net, compiled):
+        test = self.expr.compile(net, compiled)
+        return lambda s: not test(s)
 
     def render(self):
         return f"not({self.expr.render()})"
@@ -195,6 +228,10 @@ class And(PredicateExpr):
     def eval(self, net, m):
         return all(e.eval(net, m) for e in self.exprs)
 
+    def compile(self, net, compiled):
+        tests = [e.compile(net, compiled) for e in self.exprs]
+        return lambda s: all(test(s) for test in tests)
+
     def render(self):
         return "and(" + ", ".join(e.render() for e in self.exprs) + ")"
 
@@ -212,6 +249,10 @@ class Or(PredicateExpr):
     def eval(self, net, m):
         return any(e.eval(net, m) for e in self.exprs)
 
+    def compile(self, net, compiled):
+        tests = [e.compile(net, compiled) for e in self.exprs]
+        return lambda s: any(test(s) for test in tests)
+
     def render(self):
         return "or(" + ", ".join(e.render() for e in self.exprs) + ")"
 
@@ -225,6 +266,10 @@ class Const(PredicateExpr):
 
     def eval(self, net, m):
         return self.value
+
+    def compile(self, net, compiled):
+        value = self.value
+        return lambda s: value
 
     def render(self):
         return "true" if self.value else "false"
@@ -275,6 +320,18 @@ def _parse(obj) -> PredicateExpr:
 
 def eval_predicate(p: PredicateExpr, net: FssmNet, m: Marking) -> bool:
     return p.eval(net, m)
+
+
+def state_flags(g: ReachabilityGraph, net: FssmNet, p: PredicateExpr) -> list[bool]:
+    """``p`` at each state of ``g``, explored from ``net``, in state order.
+
+    States ``explore`` kept compact are tested without decoding a marking;
+    any other sequence of markings is evaluated marking by marking.
+    """
+    if isinstance(g.states, CompactStates):
+        test = p.compile(net, g.states.compiled)
+        return [test(s) for s in g.states.compact]
+    return [p.eval(net, m) for m in g.states]
 
 
 def predicate_to_obj(p: PredicateExpr):
@@ -430,7 +487,7 @@ def check_invariant(
         raise FssmError(f"invariant mode must be 'always' or 'never', got {mode!r}")
     p.validate(net)
     want = mode == "always"
-    failing = [i for i, m in enumerate(g.states) if p.eval(net, m) != want]
+    failing = [i for i, ok in enumerate(state_flags(g, net, p)) if ok != want]
     violations = ()
     if failing:
         i = failing[0]

@@ -2,15 +2,18 @@
 
 ``enabled_bindings`` and ``fire`` are the readable reference semantics over
 ``Marking`` values.  ``explore`` runs the same semantics through a compiled
-integer representation so desk-scale graphs (1e5 states) stay fast.  Its
-token numbering follows ``DataToken`` order, so it enumerates bindings in the
-reference order and names, for each (transition, digest) on an edge, the very
-``Binding`` the reference keeps; the tests cross-check both paths.
+integer representation so desk-scale graphs (1e5 states) stay fast, and the
+graph keeps its states in that form, decoding a ``Marking`` only when one is
+read.  Its token numbering follows ``DataToken`` order, so it enumerates
+bindings in the reference order and names, for each (transition, digest) on
+an edge, the very ``Binding`` the reference keeps; the tests cross-check both
+paths.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import product
 from typing import Iterable, Mapping, NamedTuple
@@ -70,10 +73,12 @@ class ReachabilityGraph:
 
     State 0 is the chosen initial marking; successors are expanded in
     (transition id, binding digest) order, so numbering, edge order, and all
-    derived reports are reproducible.
+    derived reports are reproducible.  ``explore`` fills ``states`` with a
+    ``CompactStates``, which decodes a ``Marking`` only when one is read; a
+    plain tuple of markings works too.
     """
 
-    states: tuple[Marking, ...]
+    states: Sequence[Marking]
     edges: tuple[GraphEdge, ...]
     truncated: bool
     initial_index: int
@@ -218,10 +223,11 @@ def flow_of(net: FssmNet, b: Binding) -> FlowRecord:
 class _CompiledNet:
     """Integer-indexed view of a net for the exploration hot loop.
 
-    Token type ``ty`` indexes ``tokens``, every (class, level) the net can
-    hold, in ``DataToken`` order (``ty = class index * len(levels) + level
-    index``): sorted place contents, candidate lists and their product then
-    run in the reference's order.
+    Token type ``ty`` numbers every (class, level) the net can hold, in
+    ``DataToken`` order (``ty = class index * len(levels) + level index``):
+    sorted place contents, candidate lists and their product then run in the
+    reference's order.  ``tok_class`` and ``tok_level`` give a type's class
+    and level index; ``tokens`` builds its ``DataToken`` on first use.
     """
 
     def __init__(self, net: FssmNet):
@@ -237,10 +243,11 @@ class _CompiledNet:
         self.capacity = [p.capacity for p in net.places]
         classes = {k for m in net.initials for _, packed in m.entries for k, _, _ in packed}
         classes.update(a.klass for t in net.transitions for a in t.outputs)
-        self.class_base = {k: i * len(self.levels) for i, k in enumerate(sorted(classes))}
-        self.tokens = [DataToken(k, lv) for k in self.class_base for lv in self.levels]
-        self.tok_class = [tok.klass for tok in self.tokens]
-        self.tok_level = [ty % len(self.levels) for ty in range(len(self.tokens))]
+        self.classes = sorted(classes)
+        self.class_base = {k: i * len(self.levels) for i, k in enumerate(self.classes)}
+        self.tokens = _TokenTable(self.classes, self.levels)
+        self.tok_class = [k for k in self.classes for _ in self.levels]
+        self.tok_level = list(range(len(self.levels))) * len(self.classes)
         self.digests: dict[tuple, str] = {}  # signature -> binding digest
         # (tid, in_arcs, outputs, floor); arcs use place indices, an output
         # carries its class's base, to which the produced level index is added
@@ -376,11 +383,67 @@ class _CompiledNet:
             (
                 "take" if is_take else "read",
                 self.place_ids[p],
-                self.tokens[ty].klass,
-                self.tokens[ty].level,
+                self.tok_class[ty],
+                self.levels[self.tok_level[ty]],
             )
             for p, is_take, ty in sig
         )
+
+
+class _TokenTable(dict):
+    """Token type -> ``DataToken``, each built when first looked up."""
+
+    def __init__(self, classes: list[str], levels: list[str]):
+        super().__init__()
+        self.classes = classes
+        self.levels = levels
+
+    def __missing__(self, ty: int) -> DataToken:
+        n = len(self.levels)
+        tok = self[ty] = DataToken(self.classes[ty // n], self.levels[ty % n])
+        return tok
+
+
+class CompactStates(Sequence):
+    """A graph's states as ``explore`` keeps them: per place, a sorted tuple
+    of (token type, count) in ``compiled``'s numbering.
+
+    Indexing or iterating decodes a ``Marking`` each time; nothing is
+    cached.  Analyses that only test predicates read ``compact`` through
+    ``policy.state_flags`` and decode nothing.
+    """
+
+    __slots__ = ("compiled", "compact")
+
+    def __init__(self, compiled: _CompiledNet, compact: tuple):
+        self.compiled = compiled
+        self.compact = compact
+
+    def __len__(self) -> int:
+        return len(self.compact)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self.compiled.decode, self.compact[i]))
+        return self.compiled.decode(self.compact[i])
+
+    def __iter__(self):
+        return map(self.compiled.decode, self.compact)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, CompactStates):
+            a, b = self.compiled, other.compiled
+            if (a.place_ids, a.classes, a.levels) == (b.place_ids, b.classes, b.levels):
+                return self.compact == other.compact  # one numbering: compare undecoded
+        elif not isinstance(other, tuple):
+            return NotImplemented
+        return tuple(self) == tuple(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
 
 
 def explore(net: FssmNet, limits: ExploreLimits | None = None) -> ReachabilityGraph:
@@ -443,7 +506,7 @@ def explore(net: FssmNet, limits: ExploreLimits | None = None) -> ReachabilityGr
         )
 
     return ReachabilityGraph(
-        states=tuple(comp.decode(m) for m in states),
+        states=CompactStates(comp, tuple(states)),
         edges=tuple(edges),
         truncated=truncated,
         initial_index=limits.initial,
@@ -454,12 +517,13 @@ def explore(net: FssmNet, limits: ExploreLimits | None = None) -> ReachabilityGr
 
 
 def to_dot(g: ReachabilityGraph, show_markings: bool = False) -> str:
-    """Byte-deterministic DOT rendering of a reachability graph."""
+    """Byte-deterministic DOT rendering of a reachability graph; only
+    ``show_markings`` decodes the states."""
     lines = ["digraph reachability {", "  rankdir=LR;"]
-    for i, m in enumerate(g.states):
+    for i in range(len(g.states)):
         label = f"s{i}"
         if show_markings:
-            label += "\\n" + _dot_escape(m.canonical_key())
+            label += "\\n" + _dot_escape(g.states[i].canonical_key())
         lines.append(f'  s{i} [label="{label}"];')
     for e in g.edges:
         lines.append(f'  s{e.src} -> s{e.dst} [label="{_dot_escape(e.transition)}"];')
