@@ -3,7 +3,11 @@
 
 The workload is a product of independent modulo counters, so the state
 count is (bound+1)**counters and every state is reachable. Defaults give
-110_592 states, which a laptop should clear in a few seconds.
+110_592 states, which a laptop should clear in a few seconds. Explore is
+timed a second time on the same grid with every increment also reading
+every counter place: there each firing changes the input contents of every
+transition, so the time shows what explore pays when a transition's inputs
+keep changing.
 
 Usage: python3 scripts/bench_statespace.py [--counters N] [--bound B]
 """
@@ -56,6 +60,14 @@ def main() -> None:
     t5 = time.perf_counter()
     print(f"observer: {len(obs_silent.macro_states)} macro state(s) in {t5 - t4:.2f}s "
           f"(all silent)")
+
+    reading = bench_counter_net(args.counters, args.bound, read_counters=True)
+    t6 = time.perf_counter()
+    g = explore(reading, ExploreLimits(max_states=args.max_states))
+    t7 = time.perf_counter()
+    print(f"explore (every counter read): {len(g.states)} states, {len(g.edges)} edges in "
+          f"{t7 - t6:.2f}s ({len(g.states) / (t7 - t6):,.0f} states/s)"
+          + ("  [truncated]" if g.truncated else ""))
 
 
 if __name__ == "__main__":

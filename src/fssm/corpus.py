@@ -255,32 +255,40 @@ def random_cloud_specs(
     return specs, CostModel(transfer_cost=Fraction(rng.randint(0, 3)))
 
 
-def bench_counter_net(counters: int = 3, bound: int = 47) -> FssmNet:
+def bench_counter_net(counters: int = 3, bound: int = 47, read_counters: bool = False) -> FssmNet:
     """Independent bounded counters: (bound+1)**counters reachable markings.
 
     Each counter transition reads the shared seed token and drops one
     token into its capped place, so the graph is the full product grid.
+    With ``read_counters`` each transition also reads every counter place,
+    which then starts with one token and holds up to bound+1: the same grid,
+    but every firing changes the input contents of every transition.
     """
     lat = build_lattice(["Public", "Secret"], [("Public", "Secret")])
     clouds = [Cloud(id="core", clearance="Secret")]
     places = [Place(id="seed", cloud="core")]
-    transitions = []
+    tokens = {"seed": [("s", "Public", 1)]}
+    reads = []
     for i in range(counters):
-        places.append(Place(id=f"cnt{i}", cloud="core", capacity=bound))
-        transitions.append(
-            TaskTransition(
-                id=f"inc{i}",
-                cloud="core",
-                clearance="Secret",
-                floor="Public",
-                inputs=(ArcIn(place="seed", mode="read", pattern="s"),),
-                outputs=(ArcOut(place=f"cnt{i}", klass=f"c{i}"),),
-            )
+        if read_counters:
+            tokens[f"cnt{i}"] = [(f"c{i}", "Public", 1)]
+            reads.append(ArcIn(place=f"cnt{i}", mode="read", pattern=f"c{i}"))
+        places.append(Place(id=f"cnt{i}", cloud="core", capacity=bound + 1 if read_counters else bound))
+    transitions = [
+        TaskTransition(
+            id=f"inc{i}",
+            cloud="core",
+            clearance="Secret",
+            floor="Public",
+            inputs=(ArcIn(place="seed", mode="read", pattern="s"), *reads),
+            outputs=(ArcOut(place=f"cnt{i}", klass=f"c{i}"),),
         )
+        for i in range(counters)
+    ]
     return build_net(
         lattice=lat,
         clouds=clouds,
         places=places,
         transitions=transitions,
-        initials=[marking_of({"seed": [("s", "Public", 1)]})],
+        initials=[marking_of(tokens)],
     )

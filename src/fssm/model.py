@@ -200,8 +200,7 @@ def build_net(
     for p in places:
         if p.cloud not in cloud_by_id:
             raise DanglingReference(f"place {p.id!r} references unknown cloud {p.cloud!r}")
-        if p.capacity is not None and p.capacity < 1:
-            raise FssmError(f"place {p.id!r} capacity must be positive")
+        check_capacity(p)
 
     transitions = [
         _validate_transition(t, lattice, cloud_by_id, place_by_id) for t in transitions
@@ -292,11 +291,25 @@ def _validate_marking(m, lattice, cloud_by_id, place_by_id):
                     f"token {klass}@{level} in place {pid!r} exceeds cloud "
                     f"{place.cloud!r} clearance {clearance!r}"
                 )
-        if place.capacity is not None and total > place.capacity:
-            raise CapacityExceeded(
-                f"initial marking puts {total} tokens in place {pid!r} "
-                f"(capacity {place.capacity})"
-            )
+        check_load(place, total)
+
+
+def check_capacity(place: Place, path: str | None = None) -> None:
+    """A place's capacity, when it has one, is positive; ``path`` locates
+    a fault in a model document."""
+    if place.capacity is not None and place.capacity < 1:
+        raise FssmError(f"place {place.id!r} capacity must be positive", path=path)
+
+
+def check_load(place: Place, total: int, path: str | None = None) -> None:
+    """An initial marking's ``total`` tokens in ``place`` fit its capacity;
+    ``path`` locates a fault in a model document."""
+    if place.capacity is not None and total > place.capacity:
+        raise CapacityExceeded(
+            f"initial marking puts {total} tokens in place {place.id!r} "
+            f"(capacity {place.capacity})",
+            path=path,
+        )
 
 
 def without_transitions(net: FssmNet, drop: Iterable[str]) -> FssmNet:

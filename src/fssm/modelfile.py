@@ -29,6 +29,8 @@ from .model import (
     TaskTransition,
     WILDCARD,
     build_net,
+    check_capacity,
+    check_load,
     marking_of,
 )
 from .noninterference import ObsMap, derive_obs, obs_from_dict
@@ -178,9 +180,9 @@ def parse_model(text: str) -> ModelBundle:
     initial_docs = _opt(doc, "initial_markings", list, "", [{}])
     if not initial_docs:
         raise SchemaError("at least one initial marking is required", path="/initial_markings")
-    place_ids = {p.id for p in places}
+    place_by_id = {p.id: p for p in places}
     initials = [
-        _parse_marking(m, lat, place_ids, f"/initial_markings/{i}")
+        _parse_marking(m, lat, place_by_id, f"/initial_markings/{i}")
         for i, m in enumerate(initial_docs)
     ]
     with _at("/"):
@@ -258,11 +260,13 @@ def _parse_place(obj, path: str) -> Place:
     capacity = _opt(obj, "capacity", int, path, None)
     if isinstance(capacity, bool):
         raise SchemaError("wrong type for key", path=f"{path}/capacity")
-    return Place(
+    place = Place(
         id=_require(obj, "id", str, path),
         cloud=_require(obj, "cloud", str, path),
         capacity=capacity,
     )
+    check_capacity(place, f"{path}/capacity")
+    return place
 
 
 def _parse_transition(obj, lat: SecurityLattice, path: str) -> TaskTransition:
@@ -304,7 +308,7 @@ def _parse_transition(obj, lat: SecurityLattice, path: str) -> TaskTransition:
     )
 
 
-def _parse_marking(obj, lat: SecurityLattice, place_ids: set, path: str) -> Marking:
+def _parse_marking(obj, lat: SecurityLattice, place_by_id: dict, path: str) -> Marking:
     if not isinstance(obj, dict):
         raise SchemaError("marking must be an object", path=path)
     contents: dict[str, list[tuple[str, str, int]]] = {}
@@ -312,7 +316,7 @@ def _parse_marking(obj, lat: SecurityLattice, place_ids: set, path: str) -> Mark
         if not isinstance(tokens, list):
             raise SchemaError("expected a token list", path=f"{path}/{pid}")
         # checked here: ``Marking`` drops a place whose token list is empty
-        if pid not in place_ids:
+        if pid not in place_by_id:
             raise DanglingReference(
                 f"marking references unknown place {pid!r}", path=f"{path}/{pid}"
             )
@@ -332,6 +336,7 @@ def _parse_marking(obj, lat: SecurityLattice, place_ids: set, path: str) -> Mark
                     count,
                 )
             )
+        check_load(place_by_id[pid], sum(count for _, _, count in entries), f"{path}/{pid}")
         contents[pid] = entries
     return marking_of(contents)
 

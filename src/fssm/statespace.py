@@ -4,10 +4,14 @@
 ``Marking`` values.  ``explore`` runs the same semantics through a compiled
 integer representation so desk-scale graphs (1e5 states) stay fast, and the
 graph keeps its states in that form, decoding a ``Marking`` only when one is
-read.  Its token numbering follows ``DataToken`` order, so it enumerates
-bindings in the reference order and names, for each (transition, digest) on
-an edge, the very ``Binding`` the reference keeps; the tests cross-check both
-paths.
+read.  Enabling is cached per transition on its saturated input contents:
+the tokens its input arcs match, each count capped at its number of input
+arcs on that place, fix its bindings, their output levels and their place
+deltas.  So each firing plan is built once per such view, and each place
+update once per (content, delta), for the length of one ``explore`` call.
+Its token numbering follows ``DataToken`` order, so it enumerates bindings
+in the reference order and names, for each (transition, digest) on an edge,
+the very ``Binding`` the reference keeps; the tests cross-check both paths.
 """
 
 from __future__ import annotations
@@ -249,24 +253,18 @@ class _CompiledNet:
         self.tok_class = [k for k in self.classes for _ in self.levels]
         self.tok_level = list(range(len(self.levels))) * len(self.classes)
         self.digests: dict[tuple, str] = {}  # signature -> binding digest
-        # (tid, in_arcs, outputs, floor); arcs use place indices, an output
+        # (tid, in_arcs, outputs, floor); an input arc is (place index,
+        # pattern, is_take, number of input arcs on its place), an output
         # carries its class's base, to which the produced level index is added
-        self.trans = [
-            (
-                t.id,
-                tuple(
-                    (
-                        self.place_idx[a.place],
-                        None if a.pattern == WILDCARD else a.pattern,
-                        a.mode == "take",
-                    )
-                    for a in t.inputs
-                ),
-                tuple((self.place_idx[a.place], self.class_base[a.klass]) for a in t.outputs),
-                self.level_idx[t.floor],
+        self.trans = []
+        for t in net.transitions:
+            in_places = [self.place_idx[a.place] for a in t.inputs]
+            in_arcs = tuple(
+                (p, None if a.pattern == WILDCARD else a.pattern, a.mode == "take", in_places.count(p))
+                for p, a in zip(in_places, t.inputs)
             )
-            for t in net.transitions
-        ]
+            outs = tuple((self.place_idx[a.place], self.class_base[a.klass]) for a in t.outputs)
+            self.trans.append((t.id, in_arcs, outs, self.level_idx[t.floor]))
 
     def encode(self, m: Marking):
         per_place = [()] * len(self.place_ids)
@@ -290,94 +288,6 @@ class _CompiledNet:
         t = self.net.transitions[ti]
         return Binding(t.id, tuple(zip(t.inputs, (self.tokens[ty] for ty in combo))))
 
-    def successors(self, compact):
-        """Yield (trans index, combo, digest, successor) in canonical order.
-
-        The signature is the sorted (place, is_take, type) choice multiset;
-        ``combo`` is its first arc arrangement in product order, which is the
-        binding the reference keeps for that digest.  Capacity-breaching
-        firings are silently not successors.
-        """
-        tok_class = self.tok_class
-        tok_level = self.tok_level
-        join = self.join
-        digests = self.digests
-        for ti, (_, in_arcs, outs, floor) in enumerate(self.trans):
-            cands = []
-            feasible = True
-            for p, pk, _ in in_arcs:
-                content = compact[p]
-                if pk is None:
-                    c = [ty for ty, _ in content]
-                else:
-                    c = [ty for ty, _ in content if tok_class[ty] == pk]
-                if not c:
-                    feasible = False
-                    break
-                cands.append(c)
-            if not feasible:
-                continue
-            seen = set()
-            emitted = []
-            for combo in product(*cands) if in_arcs else ((),):
-                sig = tuple(
-                    sorted(
-                        (in_arcs[i][0], in_arcs[i][2], ty) for i, ty in enumerate(combo)
-                    )
-                )
-                if sig in seen:
-                    continue
-                seen.add(sig)
-                takes: dict[tuple[int, int], int] = {}
-                reads = set()
-                for p, is_take, ty in sig:
-                    if is_take:
-                        takes[(p, ty)] = takes.get((p, ty), 0) + 1
-                    else:
-                        reads.add((p, ty))
-                ok = True
-                for (p, ty), k in takes.items():
-                    avail = next((c for t2, c in compact[p] if t2 == ty), 0)
-                    if (p, ty) in reads:
-                        k += 1
-                    if avail < k:
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                level = floor
-                for _, _, ty in sig:
-                    level = join[level][tok_level[ty]]
-                delta: dict[int, dict[int, int]] = {}
-                for (p, ty), k in takes.items():
-                    delta.setdefault(p, {})[ty] = -k
-                for p, base in outs:
-                    ty = base + level
-                    d = delta.setdefault(p, {})
-                    d[ty] = d.get(ty, 0) + 1
-                succ = self._apply(compact, delta)
-                if succ is not None:
-                    digest = digests.get(sig)
-                    if digest is None:
-                        digest = digests[sig] = self._render_sig(sig)
-                    emitted.append((digest, combo, succ))
-            emitted.sort(key=lambda e: e[0])
-            for digest, combo, succ in emitted:
-                yield ti, combo, digest, succ
-
-    def _apply(self, compact, delta):
-        per_place = list(compact)
-        for p, changes in delta.items():
-            counts = dict(per_place[p])
-            for ty, d in changes.items():
-                counts[ty] = counts.get(ty, 0) + d
-            content = tuple(sorted((ty, c) for ty, c in counts.items() if c > 0))
-            cap = self.capacity[p]
-            if cap is not None and sum(c for _, c in content) > cap:
-                return None
-            per_place[p] = content
-        return tuple(per_place)
-
     def _render_sig(self, sig) -> str:
         return render_digest(
             (
@@ -388,6 +298,154 @@ class _CompiledNet:
             )
             for p, is_take, ty in sig
         )
+
+
+class _FiringPlans:
+    """Successor generation for one ``explore`` call, which drops it on return.
+
+    A transition's enabled signatures, their feasibility, output levels and
+    place deltas depend only on its *saturated input view*: per input arc,
+    the (type, count) pairs its pattern matches in its place, each count
+    capped at the number of input arcs on that place (no signature needs
+    more).  So each transition keeps one firing plan per view it meets,
+    built by ``build`` on the first meeting: the digest-sorted (digest,
+    combo, steps) of its feasible signatures.  Each step is a memo, shared
+    by every plan with that delta on that place, from a place's content to
+    its content after the delta, or ``None`` where that breaches the place's
+    capacity.
+    """
+
+    def __init__(self, comp: _CompiledNet):
+        self.comp = comp
+        self.steps: dict[tuple, _Step] = {}  # (place, changes) -> step memo
+        views: dict[tuple, _View] = {}  # (pattern, cap) -> content -> view
+        self.trans = []  # per transition: [(place, view memo)] per arc, view -> plan
+        for _, in_arcs, _, _ in comp.trans:
+            specs = []
+            for p, pk, _, cap in in_arcs:
+                memo = views.get((pk, cap))
+                if memo is None:
+                    memo = views[(pk, cap)] = _View(pk, cap, comp.tok_class)
+                specs.append((p, memo))
+            self.trans.append((specs, {}))
+
+    def successors(self, compact):
+        """Yield (trans index, combo, digest, successor) in canonical order.
+
+        The signature is the sorted (place, is_take, type) choice multiset;
+        ``combo`` is its first arc arrangement in product order, which is the
+        binding the reference keeps for that digest.  Capacity-breaching
+        firings are silently not successors.
+        """
+        for ti, (specs, plans) in enumerate(self.trans):
+            key = []
+            for p, memo in specs:
+                view = memo[compact[p]]
+                if not view:
+                    break
+                key.append(view)
+            else:
+                key = tuple(key)
+                plan = plans.get(key)
+                if plan is None:
+                    plan = plans[key] = self.build(ti, key)
+                for digest, combo, steps in plan:
+                    succ = list(compact)
+                    for p, step in steps:
+                        content = step[compact[p]]
+                        if content is None:
+                            break
+                        succ[p] = content
+                    else:
+                        yield ti, combo, digest, tuple(succ)
+
+    def build(self, ti: int, key: tuple) -> list:
+        """Transition ``ti``'s firing plan at any state whose view is ``key``."""
+        comp = self.comp
+        _, in_arcs, outs, floor = comp.trans[ti]
+        avail = {}
+        cands = []
+        for (p, *_), view in zip(in_arcs, key):
+            for ty, c in view:
+                avail[(p, ty)] = c
+            cands.append([ty for ty, _ in view])
+        tok_level = comp.tok_level
+        join = comp.join
+        seen = set()
+        plan = []
+        for combo in product(*cands):
+            sig = tuple(
+                sorted([(in_arcs[i][0], in_arcs[i][2], ty) for i, ty in enumerate(combo)])
+            )
+            if sig in seen:
+                continue
+            seen.add(sig)
+            takes: dict[tuple[int, int], int] = {}
+            reads = set()
+            for p, is_take, ty in sig:
+                if is_take:
+                    takes[(p, ty)] = takes.get((p, ty), 0) + 1
+                else:
+                    reads.add((p, ty))
+            if not all([avail[pt] >= k + (pt in reads) for pt, k in takes.items()]):
+                continue
+            level = floor
+            for _, _, ty in sig:
+                level = join[level][tok_level[ty]]
+            delta: dict[int, dict[int, int]] = {}
+            for (p, ty), k in takes.items():
+                delta.setdefault(p, {})[ty] = -k
+            for p, base in outs:
+                d = delta.setdefault(p, {})
+                d[base + level] = d.get(base + level, 0) + 1
+            digest = comp.digests.get(sig)
+            if digest is None:
+                digest = comp.digests[sig] = comp._render_sig(sig)
+            steps = []
+            for p, d in delta.items():
+                changes = tuple(sorted(d.items()))
+                step = self.steps.get((p, changes))
+                if step is None:
+                    step = self.steps[(p, changes)] = _Step(changes, comp.capacity[p])
+                steps.append((p, step))
+            plan.append((digest, combo, steps))
+        plan.sort()  # digests differ, so the order is theirs
+        return plan
+
+
+class _View(dict):
+    """Place content -> its (type, min(count, cap)) pairs of one pattern."""
+
+    def __init__(self, pattern: str | None, cap: int, tok_class: list[str]):
+        self.pattern = pattern
+        self.cap = cap
+        self.tok_class = tok_class
+
+    def __missing__(self, content: tuple) -> tuple:
+        pk, cap, tok_class = self.pattern, self.cap, self.tok_class
+        view = self[content] = tuple(
+            [(ty, c if c < cap else cap) for ty, c in content if pk is None or tok_class[ty] == pk]
+        )
+        return view
+
+
+class _Step(dict):
+    """Place content -> content after adding ``changes``, or ``None`` when
+    that breaches ``capacity``."""
+
+    def __init__(self, changes: tuple, capacity: int | None):
+        self.changes = changes
+        self.capacity = capacity
+
+    def __missing__(self, content: tuple):
+        counts = dict(content)
+        for ty, d in self.changes:
+            counts[ty] = counts.get(ty, 0) + d
+        new = tuple(sorted([(ty, c) for ty, c in counts.items() if c > 0]))
+        if self.capacity is not None and sum([c for _, c in new]) > self.capacity:
+            new = None
+        self[content] = new
+        return new
 
 
 class _TokenTable(dict):
@@ -462,6 +520,7 @@ def explore(net: FssmNet, limits: ExploreLimits | None = None) -> ReachabilityGr
         raise FssmError(f"initial marking index {limits.initial} out of range")
 
     comp = _CompiledNet(net)
+    successors = _FiringPlans(comp).successors
     tids = [t.id for t in net.transitions]
     root = comp.encode(net.initials[limits.initial])
     index = {root: 0}
@@ -479,11 +538,11 @@ def explore(net: FssmNet, limits: ExploreLimits | None = None) -> ReachabilityGr
         m = states[i]
         d = depths[i]
         if max_depth is not None and d >= max_depth:
-            if next(comp.successors(m), None) is not None:
+            if next(successors(m), None) is not None:
                 truncated = True
             i += 1
             continue
-        for ti, combo, digest, succ in comp.successors(m):
+        for ti, combo, digest, succ in successors(m):
             j = index.get(succ)
             if j is None:
                 if len(states) >= max_states:

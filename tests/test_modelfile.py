@@ -8,6 +8,7 @@ import pytest
 
 from conftest import GOLDEN, fixture_path
 from fssm import (
+    CapacityExceeded,
     DanglingReference,
     FssmError,
     ModelSyntaxError,
@@ -113,6 +114,25 @@ def test_initial_marking_names_unknown_place_with_no_tokens():
         reparse(doc)
     assert exc.value.path == "/initial_markings/0/zz"
     assert str(exc.value) == "/initial_markings/0/zz: marking references unknown place 'zz'"
+
+
+def test_nonpositive_capacity_names_its_field():
+    doc = doc_of("net1")
+    doc["places"][1]["capacity"] = 0
+    with pytest.raises(FssmError) as exc:
+        reparse(doc)
+    assert str(exc.value) == "/places/1/capacity: place 'p2' capacity must be positive"
+
+
+def test_overfull_initial_marking_names_its_place():
+    doc = doc_of("net1")
+    doc["places"][0]["capacity"] = 1
+    doc["initial_markings"].append({"p1": [{"class": "d", "level": "Public", "count": 2}]})
+    with pytest.raises(CapacityExceeded) as exc:
+        reparse(doc)
+    assert str(exc.value) == (
+        "/initial_markings/1/p1: initial marking puts 2 tokens in place 'p1' (capacity 1)"
+    )
 
 
 def test_obs_map_must_cover_net():

@@ -17,9 +17,14 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
     "script,args,expected",
     [
         ("bench_statespace.py", ["--counters", "2", "--bound", "3"], "observer: 16 macro states"),
+        (
+            "bench_statespace.py",
+            ["--counters", "2", "--bound", "3"],
+            "explore (every counter read): 16 states, 24 edges",
+        ),
         ("sweep_opacity.py", ["--instances", "5"], "5 instances"),
     ],
-    ids=["bench_statespace", "sweep_opacity"],
+    ids=["bench_statespace", "bench_statespace_reading", "sweep_opacity"],
 )
 def test_script_runs(script, args, expected):
     proc = subprocess.run(

@@ -109,33 +109,40 @@ def _naive_successors(net, md):
             yield t.id, "&".join(sig) if sig else "-", succ
 
 
-def naive_explore(net, initial=0):
+def naive_explore(net, initial=0, max_states=None, max_depth=None):
+    """Numbered breadth-first search over ``_naive_successors``, expanding each
+    state in (transition, digest) order: (state keys, edges, truncated)."""
+    order = {t.id: i for i, t in enumerate(net.transitions)}
     start = _mdict(net.initials[initial])
-    key0 = tuple(sorted(start.items()))
-    states = {key0}
-    edges = Counter()
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for md in frontier:
-            src = tuple(sorted(md.items()))
-            for tid, sig, succ in _naive_successors(net, md):
-                dst = tuple(sorted(succ.items()))
-                edges[(src, tid, sig, dst)] += 1
-                if dst not in states:
-                    states.add(dst)
-                    nxt.append(succ)
-        frontier = nxt
-    return states, edges
+    keys = [tuple(sorted(start.items()))]
+    mds = [start]
+    depths = [0]
+    index = {keys[0]: 0}
+    edges = []
+    truncated = False
+    for i, md in enumerate(mds):
+        succs = sorted(_naive_successors(net, md), key=lambda s: (order[s[0]], s[1]))
+        if max_depth is not None and depths[i] >= max_depth:
+            truncated = truncated or bool(succs)
+            continue
+        for tid, sig, succ in succs:
+            key = tuple(sorted(succ.items()))
+            j = index.get(key)
+            if j is None:
+                if max_states is not None and len(keys) >= max_states:
+                    truncated = True
+                    continue
+                j = index[key] = len(keys)
+                keys.append(key)
+                mds.append(succ)
+                depths.append(depths[i] + 1)
+            edges.append((i, tid, sig, j))
+    return keys, edges, truncated
 
 
 def _graph_as_naive(g):
     keys = [tuple(sorted(_mdict(m).items())) for m in g.states]
-    states = set(keys)
-    edges = Counter()
-    for e in g.edges:
-        edges[(keys[e.src], e.transition, e.binding, keys[e.dst])] += 1
-    return states, edges
+    return keys, [tuple(e) for e in g.edges], g.truncated
 
 
 # --------------------------------------------------------------------------
@@ -410,18 +417,89 @@ def test_oracle_equivalence_random_nets():
     rng = random.Random(99)
     for _ in range(60):
         net, g = random_net(rng)
-        states, edges = naive_explore(net)
-        gs, ge = _graph_as_naive(g)
-        assert gs == states
-        assert ge == edges
+        assert _graph_as_naive(g) == naive_explore(net)
 
 
 def test_oracle_equivalence_on_fixtures(net1, net2, net3, net1_leak):
     for net in (net1, net2, net3, net1_leak):
-        states, edges = naive_explore(net)
-        gs, ge = _graph_as_naive(explore(net))
-        assert gs == states
-        assert ge == edges
+        assert _graph_as_naive(explore(net)) == naive_explore(net)
+
+
+def _with_capacities(net, rng):
+    """``net`` with capacities from ``rng`` and a second initial marking that
+    adds up to one token to each entry of the first; each capped place holds
+    at least what either initial marking puts there."""
+    first = net.initials[0]
+    second = marking_of(
+        {pid: [(k, lv, c + rng.randint(0, 1)) for k, lv, c in packed] for pid, packed in first.entries}
+    )
+    places = []
+    for p in net.places:
+        load = sum(c for _, c in second.tokens_at(p.id))
+        cap = None if rng.random() < 0.25 else max(load, 1) + rng.randint(0, 1)
+        places.append(Place(p.id, p.cloud, capacity=cap))
+    return build_net(net.lattice, net.clouds, places, net.transitions, [first, second])
+
+
+def test_capacity_blocked_firings_match_oracle():
+    from fssm.corpus import bench_counter_net
+
+    rng = random.Random(17)
+    cap_rng = random.Random(23)
+    nets = [bench_counter_net(2, 3), bench_counter_net(2, 3, read_counters=True)]
+    for acyclic in (False, True):
+        for _ in range(40):
+            nets.append(_with_capacities(random_net(rng, acyclic=acyclic)[0], cap_rng))
+    blocked = 0
+    for net in nets:
+        for initial in range(len(net.initials)):
+            for limits in ({}, {"max_states": 3}, {"max_depth": 1}, {"max_depth": 2}):
+                g = explore(net, ExploreLimits(initial=initial, **limits))
+                assert _graph_as_naive(g) == naive_explore(net, initial, **limits), (net, limits)
+            for m in explore(net, ExploreLimits(initial=initial)).states:
+                for b in enabled_bindings(net, m):
+                    try:
+                        fire(net, m, b)
+                    except CapacityExceeded:
+                        blocked += 1
+    assert blocked > 50
+
+
+@pytest.mark.parametrize("read_counters", [False, True], ids=["plain", "reading"])
+def test_explore_builds_one_plan_per_saturated_view(monkeypatch, read_counters):
+    from fssm import statespace
+    from fssm.corpus import bench_counter_net
+
+    build = statespace._FiringPlans.build
+    calls = []
+
+    def counting(self, ti, key):
+        calls.append(ti)
+        return build(self, ti, key)
+
+    monkeypatch.setattr(statespace._FiringPlans, "build", counting)
+    g = explore(bench_counter_net(3, 11, read_counters=read_counters))
+    assert len(g.states) == 12**3 and not g.truncated
+    assert sorted(calls) == [0, 1, 2]
+
+
+def test_explore_drops_its_firing_plans(monkeypatch):
+    import weakref
+
+    from fssm import statespace
+    from fssm.corpus import bench_counter_net
+
+    init = statespace._FiringPlans.__init__
+    refs = []
+
+    def recording(self, comp):
+        init(self, comp)
+        refs.append(weakref.ref(self))
+
+    monkeypatch.setattr(statespace._FiringPlans, "__init__", recording)
+    g = explore(bench_counter_net(2, 3))
+    assert len(g.states) == 16
+    assert len(refs) == 1 and refs[0]() is None
 
 
 def test_token_conservation_and_taint(net1_leak):
