@@ -13,13 +13,14 @@ Usage: python3 scripts/bench_statespace.py [--counters N] [--bound B]
 """
 
 import argparse
+import resource
 import sys
 import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from fssm import ExploreLimits, explore
+from fssm import ExploreLimits, dynamic_blp_check, explore, to_dot
 from fssm.corpus import bench_counter_net
 from fssm.noninterference import obs_from_dict
 from fssm.opacity import build_observer
@@ -44,6 +45,18 @@ def main() -> None:
     print(f"explore:  {len(g.states)} states, {len(g.edges)} edges in "
           f"{t1 - t0:.2f}s ({rate:,.0f} states/s)"
           + ("  [truncated]" if g.truncated else ""))
+    # ru_maxrss is in KiB on Linux
+    print(f"peak RSS after explore: "
+          f"{resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.1f} MiB")
+
+    t0 = time.perf_counter()
+    dot = to_dot(g, show_markings=True)
+    t1 = time.perf_counter()
+    print(f"dot (markings): {len(dot):,} bytes in {t1 - t0:.2f}s")
+    t0 = time.perf_counter()
+    rep = dynamic_blp_check(net, graph=g)
+    t1 = time.perf_counter()
+    print(f"dynamic BLP: {rep.verdict}, {len(rep.violations)} violation(s) in {t1 - t0:.2f}s")
 
     # identity observation map: worst case, every macro-state is a singleton
     ident = obs_from_dict({t.id: t.id for t in net.transitions}, net)

@@ -52,6 +52,7 @@ from .model import (
 from .statespace import (
     Binding,
     CompactStates,
+    EdgeColumns,
     ExploreLimits,
     FlowRecord,
     GraphEdge,

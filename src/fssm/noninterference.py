@@ -104,10 +104,11 @@ class Observer:
 
 def graph_adjacency(g: ReachabilityGraph, obs: ObsMap):
     """Per-state (symbol or None, dst, transition) lists in edge order."""
-    rows = [[] for _ in range(len(g.states))]
-    for e in g.edges:
-        rows[e.src].append((obs.symbol_of(e.transition), e.dst, e.transition))
-    return rows
+    cols = g.columns
+    tids = [tid for tid, _ in cols.labels]
+    syms = [obs.symbol_of(tid) for tid in tids]
+    entries = [(syms[lab], d, tids[lab]) for lab, d in zip(cols.label, cols.dst)]
+    return [entries[a:b] for a, b in zip(cols.offsets, cols.offsets[1:])]
 
 
 def subset_construction(rows) -> Observer:

@@ -205,25 +205,24 @@ def brute_force_opacity(
     if depth < 1:
         raise FssmError("depth must be positive")
     n = len(g.states)
-    adj: list[list] = [[] for _ in range(n)]
+    adj = graph_adjacency(g, obs)
     indeg = [0] * n
-    for e in g.edges:
-        adj[e.src].append(e)
-        indeg[e.dst] += 1
+    for dst in g.columns.dst:
+        indeg[dst] += 1
     order = [i for i in range(n) if indeg[i] == 0]
     k = 0
     while k < len(order):
-        for e in adj[order[k]]:
-            indeg[e.dst] -= 1
-            if indeg[e.dst] == 0:
-                order.append(e.dst)
+        for _, dst, _ in adj[order[k]]:
+            indeg[dst] -= 1
+            if indeg[dst] == 0:
+                order.append(dst)
         k += 1
     if len(order) < n:
         raise CyclicGraph("brute-force opacity needs an acyclic graph")
     dist = [0] * n
     for i in order:
-        for e in adj[i]:
-            dist[e.dst] = max(dist[e.dst], dist[i] + 1)
+        for _, dst, _ in adj[i]:
+            dist[dst] = max(dist[dst], dist[i] + 1)
     longest = max(dist) if n else 0
     if depth < longest:
         raise DepthTooSmall(f"depth {depth} below longest path {longest}")
@@ -253,16 +252,11 @@ def brute_force_opacity(
         record(run, o, s, q)
         if len(run) >= depth:
             return
-        for e in adj[s]:
-            sym = obs.symbol_of(e.transition)
+        for sym, dst, tid in adj[s]:
             walk(
-                e.dst,
-                (
-                    secret.step(q, e.transition)
-                    if isinstance(secret, RunMonitor)
-                    else q
-                ),
-                run + (e.transition,),
+                dst,
+                secret.step(q, tid) if isinstance(secret, RunMonitor) else q,
+                run + (tid,),
                 o if sym is None else o + (sym,),
             )
 

@@ -436,33 +436,35 @@ def dynamic_blp_check(
 
     Each edge's flow comes from the binding the graph names for its
     (transition, digest), so nothing is fired; ``graph`` must come from
-    ``explore``, which names them.  Edges come out of the graph in
-    breadth-first order, so the first hit per (transition, kind) carries
-    a shortest witness; later hits only add to its count.
+    ``explore``, which names them.  The rules run once per such label and
+    its hits are counted over the graph's label column.  Edges come out of
+    the graph in breadth-first order, so the first hit per (transition,
+    kind) carries a shortest witness; later hits only add to its count.
     """
     cfg = cfg or BlpConfig()
-    kinds_of: dict[tuple[str, str], tuple] = {}
-    first: dict[tuple[str, str], tuple] = {}  # (transition, kind) -> (edge, detail)
+    cols = graph.columns
+    first: dict[tuple[str, str], tuple] = {}  # (transition, kind) -> (edge position, detail)
     hits: Counter = Counter()
-    for e in graph.edges:
-        key = (e.transition, e.binding)
-        kinds = kinds_of.get(key)
-        if kinds is None:
-            flow = flow_of(net, graph.bindings[key])
-            kinds = kinds_of[key] = tuple(_flow_violations(net, cfg, e.transition, flow))
+    for lab, key in enumerate(cols.labels):
+        kinds = list(_flow_violations(net, cfg, key[0], flow_of(net, graph.bindings[key])))
+        if not kinds:
+            continue
+        k, n = cols.label.index(lab), cols.label.count(lab)
         for kind, detail in kinds:
-            first.setdefault((e.transition, kind), (e, detail))
-            hits[(e.transition, kind)] += 1
+            hit = (key[0], kind)
+            if hit not in first or k < first[hit][0]:
+                first[hit] = (k, detail)
+            hits[hit] += n
     violations = tuple(
         Violation(
             kind=kind,
             transition=t_id,
-            state=e.dst,
-            witness=graph.path_to(e.src) + (t_id,),
+            state=cols.dst[k],
+            witness=graph.path_to(cols.src(k)) + (t_id,),
             detail=detail,
             count=hits[(t_id, kind)],
         )
-        for (t_id, kind), (e, detail) in sorted(first.items())
+        for (t_id, kind), (k, detail) in sorted(first.items())
     )
     return PolicyReport(
         verdict=_verdict(bool(violations), graph.truncated),

@@ -12,10 +12,14 @@ update once per (content, delta), for the length of one ``explore`` call.
 Its token numbering follows ``DataToken`` order, so it enumerates bindings
 in the reference order and names, for each (transition, digest) on an edge,
 the very ``Binding`` the reference keeps; the tests cross-check both paths.
+The edges are kept as int columns (``EdgeColumns``), which the analyses
+read directly; a ``GraphEdge`` is built only when one is read.
 """
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_right
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -79,11 +83,14 @@ class ReachabilityGraph:
     (transition id, binding digest) order, so numbering, edge order, and all
     derived reports are reproducible.  ``explore`` fills ``states`` with a
     ``CompactStates``, which decodes a ``Marking`` only when one is read; a
-    plain tuple of markings works too.
+    plain tuple of markings works too.  Likewise ``edges`` is the
+    ``EdgeColumns`` that ``explore`` fills.  A graph built by hand from a
+    tuple of ``GraphEdge``s, in any order, keeps that tuple as ``edges``
+    and is converted once to ``columns``, which is what analyses read.
     """
 
     states: Sequence[Marking]
-    edges: tuple[GraphEdge, ...]
+    edges: Sequence[GraphEdge]
     truncated: bool
     initial_index: int
     parent_edge: tuple[int, ...] = field(repr=False)  # discovery edge per state, -1 at root
@@ -92,6 +99,22 @@ class ReachabilityGraph:
     bindings: Mapping[tuple[str, str], Binding] = field(
         default_factory=dict, repr=False, compare=False
     )
+    # source of each state's discovery edge, -1 at root; derived when not given
+    parents: Sequence[int] | None = field(default=None, repr=False, compare=False)
+    columns: EdgeColumns = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        edges = self.edges
+        if isinstance(edges, EdgeColumns):
+            cols = edges
+            src = cols.src
+        else:
+            cols = EdgeColumns.of(edges, len(self.states))
+            src = lambda k: edges[k].src  # noqa: E731
+        object.__setattr__(self, "columns", cols)
+        if self.parents is None:
+            parents = tuple(-1 if k < 0 else src(k) for k in self.parent_edge)
+            object.__setattr__(self, "parents", parents)
 
     @property
     def stats(self) -> GraphStats:
@@ -101,16 +124,17 @@ class ReachabilityGraph:
             depth=max(self.depths) if self.depths else 0,
         )
 
-    def transition_ids(self) -> tuple[str, ...]:
-        return tuple(sorted({e.transition for e in self.edges}))
-
     def path_to(self, state: int) -> tuple[str, ...]:
         """Shortest transition-id path from the initial state (BFS tree)."""
+        edges = self.edges
+        if isinstance(edges, EdgeColumns):
+            transition = edges.transition
+        else:
+            transition = lambda k: edges[k].transition  # noqa: E731
         path = []
         while state != 0:
-            e = self.edges[self.parent_edge[state]]
-            path.append(e.transition)
-            state = e.src
+            path.append(transition(self.parent_edge[state]))
+            state = self.parents[state]
         return tuple(reversed(path))
 
 
@@ -504,6 +528,89 @@ class CompactStates(Sequence):
         return repr(tuple(self))
 
 
+class EdgeColumns(Sequence):
+    """A graph's edges as ``explore`` keeps them: int columns in compressed
+    sparse row form.
+
+    State ``s``'s edges are positions ``offsets[s]`` to ``offsets[s + 1]``
+    of ``dst`` and ``label``, in edge order; label ``l`` names the
+    (transition id, digest) ``labels[l]``, stored once however many edges
+    carry it.  ``offsets`` is an int64 ``array``, so its entries are no int
+    objects; the per-edge columns stay lists, which append and read
+    faster.  Indexing or iterating builds a ``GraphEdge`` each time;
+    nothing is cached.  Analyses read the columns and build none.
+    """
+
+    __slots__ = ("offsets", "dst", "label", "labels")
+
+    def __init__(self, offsets: array, dst: list, label: list, labels: list):
+        self.offsets = offsets
+        self.dst = dst
+        self.label = label
+        self.labels = labels
+
+    @classmethod
+    def of(cls, edges: Iterable[GraphEdge], n_states: int) -> EdgeColumns:
+        """Columns of hand-built edges: each state's in their given order."""
+        rows = [[] for _ in range(n_states)]
+        label_of: dict[tuple[str, str], int] = {}
+        for e in edges:
+            lab = label_of.setdefault((e.transition, e.binding), len(label_of))
+            rows[e.src].append((e.dst, lab))
+        offsets = array("q", [0])
+        dst, label = [], []
+        for row in rows:
+            for d, lab in row:
+                dst.append(d)
+                label.append(lab)
+            offsets.append(len(dst))
+        return cls(offsets, dst, label, list(label_of))
+
+    def src(self, k: int) -> int:
+        """The source state of the edge at position ``k``."""
+        return bisect_right(self.offsets, k) - 1
+
+    def transition(self, k: int) -> str:
+        return self.labels[self.label[k]][0]
+
+    def _edge(self, src: int, k: int) -> GraphEdge:
+        tid, digest = self.labels[self.label[k]]
+        return GraphEdge(src, tid, digest, self.dst[k])
+
+    def __len__(self) -> int:
+        return len(self.dst)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[k] for k in range(*i.indices(len(self.dst))))
+        k = i + len(self.dst) if i < 0 else i
+        if not 0 <= k < len(self.dst):
+            raise IndexError("edge index out of range")
+        return self._edge(self.src(k), k)
+
+    def __iter__(self):
+        offsets = self.offsets
+        for s in range(len(offsets) - 1):
+            for k in range(offsets[s], offsets[s + 1]):
+                yield self._edge(s, k)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, EdgeColumns):
+            if (self.offsets, self.dst, self.label, self.labels) == (
+                other.offsets, other.dst, other.label, other.labels
+            ):
+                return True  # same columns: compare without building edges
+        elif not isinstance(other, tuple):
+            return NotImplemented
+        return tuple(self) == tuple(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
 def explore(net: FssmNet, limits: ExploreLimits | None = None) -> ReachabilityGraph:
     """Breadth-first closure of the firing relation from an initial marking.
 
@@ -526,8 +633,13 @@ def explore(net: FssmNet, limits: ExploreLimits | None = None) -> ReachabilityGr
     index = {root: 0}
     states = [root]
     parent_edge = [-1]
+    parents = array("q", [-1])
     depths = [0]
-    edges: list[GraphEdge] = []
+    # the edge columns, filled state by state in breadth-first order
+    offsets = array("q", [0])
+    dst: list[int] = []
+    label: list[int] = []
+    label_of: dict[tuple[str, str], int] = {}  # (transition id, digest) -> label
     bindings: dict[tuple[str, str], Binding] = {}
     truncated = False
     max_states = limits.max_states
@@ -540,23 +652,27 @@ def explore(net: FssmNet, limits: ExploreLimits | None = None) -> ReachabilityGr
         if max_depth is not None and d >= max_depth:
             if next(successors(m), None) is not None:
                 truncated = True
-            i += 1
-            continue
-        for ti, combo, digest, succ in successors(m):
-            j = index.get(succ)
-            if j is None:
-                if len(states) >= max_states:
-                    truncated = True
-                    continue
-                j = len(states)
-                index[succ] = j
-                states.append(succ)
-                parent_edge.append(len(edges))
-                depths.append(d + 1)
-            tid = tids[ti]
-            if (tid, digest) not in bindings:
-                bindings[(tid, digest)] = comp.binding(ti, combo)
-            edges.append(GraphEdge(i, tid, digest, j))
+        else:
+            for ti, combo, digest, succ in successors(m):
+                j = index.get(succ)
+                if j is None:
+                    if len(states) >= max_states:
+                        truncated = True
+                        continue
+                    j = len(states)
+                    index[succ] = j
+                    states.append(succ)
+                    parent_edge.append(len(dst))
+                    parents.append(i)
+                    depths.append(d + 1)
+                key = (tids[ti], digest)
+                lab = label_of.get(key)
+                if lab is None:
+                    lab = label_of[key] = len(label_of)
+                    bindings[key] = comp.binding(ti, combo)
+                dst.append(j)
+                label.append(lab)
+        offsets.append(len(dst))
         i += 1
 
     if truncated and limits.strict:
@@ -566,28 +682,67 @@ def explore(net: FssmNet, limits: ExploreLimits | None = None) -> ReachabilityGr
 
     return ReachabilityGraph(
         states=CompactStates(comp, tuple(states)),
-        edges=tuple(edges),
+        edges=EdgeColumns(offsets, dst, label, list(label_of)),
         truncated=truncated,
         initial_index=limits.initial,
         parent_edge=tuple(parent_edge),
         depths=tuple(depths),
         bindings=bindings,
+        parents=parents,
     )
 
 
 def to_dot(g: ReachabilityGraph, show_markings: bool = False) -> str:
-    """Byte-deterministic DOT rendering of a reachability graph; only
-    ``show_markings`` decodes the states."""
+    """Byte-deterministic DOT rendering of a reachability graph, edges
+    listed by source; ``show_markings`` adds each state's canonical key."""
     lines = ["digraph reachability {", "  rankdir=LR;"]
-    for i in range(len(g.states)):
-        label = f"s{i}"
-        if show_markings:
-            label += "\\n" + _dot_escape(g.states[i].canonical_key())
-        lines.append(f'  s{i} [label="{label}"];')
-    for e in g.edges:
-        lines.append(f'  s{e.src} -> s{e.dst} [label="{_dot_escape(e.transition)}"];')
+    if show_markings:
+        lines.extend(
+            f'  s{i} [label="s{i}\\n{key}"];' for i, key in enumerate(_dot_keys(g.states))
+        )
+    else:
+        lines.extend(f'  s{i} [label="s{i}"];' for i in range(len(g.states)))
+    cols = g.columns
+    tids = [_dot_escape(tid) for tid, _ in cols.labels]
+    offsets, dst, label = cols.offsets, cols.dst, cols.label
+    for s in range(len(offsets) - 1):
+        for k in range(offsets[s], offsets[s + 1]):
+            lines.append(f'  s{s} -> s{dst[k]} [label="{tids[label[k]]}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def _dot_keys(states: Sequence[Marking]) -> list[str]:
+    """Each state's escaped ``Marking.canonical_key``.  Compact states are
+    rendered place by place in place-id order, as ``Marking`` sorts them,
+    from fragments memoised per (place, content); no marking is decoded."""
+    if not isinstance(states, CompactStates):
+        return [_dot_escape(m.canonical_key()) for m in states]
+    comp = states.compiled
+    order = sorted(range(len(comp.place_ids)), key=comp.place_ids.__getitem__)
+    fragments = [(p, _Fragments(comp, p)) for p in order]
+    return [
+        ";".join([frag[compact[p]] for p, frag in fragments if compact[p]]) or "∅"
+        for compact in states.compact
+    ]
+
+
+class _Fragments(dict):
+    """Place content -> its escaped ``pid:class@Level*count`` entries."""
+
+    def __init__(self, comp: _CompiledNet, p: int):
+        self.comp = comp
+        self.pid = comp.place_ids[p]
+
+    def __missing__(self, content: tuple) -> str:
+        comp, pid = self.comp, self.pid
+        text = self[content] = _dot_escape(
+            ";".join(
+                f"{pid}:{comp.tok_class[ty]}@{comp.levels[comp.tok_level[ty]]}*{c}"
+                for ty, c in content
+            )
+        )
+        return text
 
 
 def _dot_escape(text: str) -> str:

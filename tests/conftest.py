@@ -11,14 +11,18 @@ from fssm import (
     Cloud,
     CloudSpec,
     CostModel,
+    ExploreLimits,
+    FssmError,
     Marking,
     Place,
     TaskTransition,
     build_lattice,
     build_net,
     build_workflow,
+    explore,
     marking_of,
 )
+from fssm.corpus import random_net
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"
@@ -126,3 +130,31 @@ def wf1(lat2):
         CloudSpec("Cpriv", "Secret", exec_cost=3),
     )
     return wf, clouds, CostModel(transfer_cost=1)
+
+
+def _with_second_initial(net, g):
+    """``net`` with a second initial marking, its last reachable state, or
+    None when that marking breaks containment and cannot be an initial one."""
+    try:
+        return build_net(
+            net.lattice, net.clouds, net.places, net.transitions,
+            [net.initials[0], g.states[-1]],
+        )
+    except FssmError:
+        return None
+
+
+def explored_graphs(rng, count):
+    """(net, limits, graph) from random nets: whole, truncated by states or
+    depth, and explored from a second initial marking."""
+    out = []
+    while len(out) < count:
+        net, g = random_net(rng, max_states=30)
+        runs = [(net, ExploreLimits()),
+                (net, ExploreLimits(max_states=max(1, len(g.states) // 2))),
+                (net, ExploreLimits(max_depth=1))]
+        two = _with_second_initial(net, g)
+        if two is not None:
+            runs.append((two, ExploreLimits(initial=1)))
+        out.extend((n, limits, explore(n, limits)) for n, limits in runs)
+    return out

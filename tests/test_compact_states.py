@@ -1,6 +1,7 @@
-"""The explored graph keeps its compact states: markings decode only when
-read, and predicates test the compact form with the same answers as
-``eval`` on the decoded marking."""
+"""The explored graph keeps its compact states and its edge columns:
+markings decode and edges are built only when read, predicates test the
+compact form with the same answers as ``eval`` on the decoded marking, and
+DOT renders markings from the compact form."""
 
 import dataclasses
 import random
@@ -12,7 +13,7 @@ from fssm import (
     ArcIn,
     ArcOut,
     ExploreLimits,
-    FssmError,
+    Marking,
     TaskTransition,
     brute_force_opacity,
     build_net,
@@ -43,7 +44,8 @@ from fssm.policy import (
     Or,
     state_flags,
 )
-from fssm.statespace import CompactStates
+from fssm.statespace import CompactStates, EdgeColumns
+from conftest import explored_graphs
 
 
 def _fired_states(net, g):
@@ -55,34 +57,6 @@ def _fired_states(net, g):
         m, _ = fire(net, ms[e.src], g.bindings[(e.transition, e.binding)])
         ms.append(m)
     return ms
-
-
-def _with_second_initial(net, g):
-    """``net`` with a second initial marking, its last reachable state, or
-    None when that marking breaks containment and cannot be an initial one."""
-    try:
-        return build_net(
-            net.lattice, net.clouds, net.places, net.transitions,
-            [net.initials[0], g.states[-1]],
-        )
-    except FssmError:
-        return None
-
-
-def _graphs(rng, count):
-    """(net, limits, graph) from random nets: whole, truncated by states or
-    depth, and explored from a second initial marking."""
-    out = []
-    while len(out) < count:
-        net, g = random_net(rng, max_states=30)
-        runs = [(net, ExploreLimits()),
-                (net, ExploreLimits(max_states=max(1, len(g.states) // 2))),
-                (net, ExploreLimits(max_depth=1))]
-        two = _with_second_initial(net, g)
-        if two is not None:
-            runs.append((two, ExploreLimits(initial=1)))
-        out.extend((n, limits, explore(n, limits)) for n, limits in runs)
-    return out
 
 
 @pytest.fixture
@@ -99,26 +73,99 @@ def decodes(monkeypatch):
     return calls
 
 
-def test_analyses_decode_no_state(decodes):
+@pytest.fixture
+def edge_builds(monkeypatch):
+    """Count the ``GraphEdge``s that ``EdgeColumns`` builds."""
+    calls = []
+    orig = EdgeColumns._edge
+
+    def counting(self, src, k):
+        calls.append(1)
+        return orig(self, src, k)
+
+    monkeypatch.setattr(EdgeColumns, "_edge", counting)
+    return calls
+
+
+def test_analyses_decode_no_state(decodes, edge_builds):
+    """Every analysis, and DOT in both modes, reads the compact states and
+    the edge columns: no marking is decoded and no edge is built."""
     rng = random.Random(1709)
     nets = [bench_counter_net(counters=2, bound=6)] + [random_net(rng)[0] for _ in range(12)]
+    witnesses = 0
     for net in nets:
         g = explore(net)
         obs = random_obs(rng, net)
-        dynamic_blp_check(net, graph=g)
+        witnesses += len(dynamic_blp_check(net, graph=g).violations)
         for level in net.lattice.levels:
             check_snni(net, level)
         check_run_opacity(g, net, obs, random_monitor(rng, net))
         secret = random_state_secret(rng, net)
-        check_invariant(g, net, secret)
+        witnesses += len(check_invariant(g, net, secret).violations)
         check_current_state_opacity(g, net, obs, secret)
         to_dot(g)
-        assert decodes == [], net
-    g = explore(nets[0])
-    to_dot(g, show_markings=True)
-    assert len(decodes) == len(g.states) == 49
+        to_dot(g, show_markings=True)
+        assert decodes == [] and edge_builds == [], net
+    assert witnesses > 5  # path_to ran too
     g.states[-1]
-    assert len(decodes) == 50
+    g.edges[-1]
+    assert len(decodes) == len(edge_builds) == 1
+
+
+def _dot_by_decoding(g):
+    """Oracle: ``to_dot(g, show_markings=True)`` from decoded markings and
+    built edges."""
+    def esc(text):
+        return text.replace("\\", "\\\\").replace('"', '\\"')
+
+    lines = ["digraph reachability {", "  rankdir=LR;"]
+    for i, m in enumerate(g.states):
+        lines.append(f'  s{i} [label="s{i}\\n{esc(m.canonical_key())}"];')
+    for e in g.edges:
+        lines.append(f'  s{e.src} -> s{e.dst} [label="{esc(e.transition)}"];')
+    return "\n".join(lines + ["}"]) + "\n"
+
+
+def _renamed_places(net, names):
+    """``net`` with place ``p{i}`` renamed ``names[i]``."""
+    def ren(pid):
+        return names[int(pid[1:])]
+
+    return build_net(
+        net.lattice,
+        net.clouds,
+        [dataclasses.replace(p, id=ren(p.id)) for p in net.places],
+        [
+            dataclasses.replace(
+                t,
+                inputs=tuple(dataclasses.replace(a, place=ren(a.place)) for a in t.inputs),
+                outputs=tuple(dataclasses.replace(a, place=ren(a.place)) for a in t.outputs),
+            )
+            for t in net.transitions
+        ],
+        [Marking({ren(pid): m.tokens_at(pid) for pid, _ in m.entries}) for m in net.initials],
+    )
+
+
+def test_dot_markings_match_decoded_markings():
+    """Markings rendered from compact states equal the decoded markings'
+    canonical keys, also where a place holds several classes and levels and
+    where sorting the place ids reorders the places ("A1" < "b" < "p10" <
+    "p2")."""
+    rng = random.Random(2610)
+    names = ["p10", "p2", "b", "q", "A1", "p1"]
+    mixed = 0
+    for _ in range(80):
+        net, _ = random_net(rng, max_states=40)
+        net = _renamed_places(net, rng.sample(names, len(names)))
+        for limits in (None, ExploreLimits(max_states=7)):
+            g = explore(net, limits)
+            assert to_dot(g, show_markings=True) == _dot_by_decoding(g), net
+            mixed += any(len(content) > 1 for c in g.states.compact for content in c)
+    net = bench_counter_net(counters=2, bound=6)
+    g = explore(net)
+    assert to_dot(g, show_markings=True) == _dot_by_decoding(g)
+    assert mixed > 20
 
 
 def test_tokens_are_built_on_first_use(net3):
@@ -149,7 +196,7 @@ def _atoms(net, levels, absent_class):
 def test_compiled_predicates_match_eval():
     rng = random.Random(4242)
     checked = 0
-    for net, _, g in _graphs(rng, 40):
+    for net, _, g in explored_graphs(rng, 40):
         markings = list(g.states)
         atoms = list(_atoms(net, net.lattice.levels, "zz_absent"))
         nested = [Not(a) for a in atoms]
@@ -167,7 +214,7 @@ def test_compiled_predicates_match_eval():
 
 def test_lazy_states_keep_the_sequence_contract(net3):
     rng = random.Random(77)
-    for net, limits, g in [(net3, None, explore(net3))] + _graphs(rng, 30):
+    for net, limits, g in [(net3, None, explore(net3))] + explored_graphs(rng, 30):
         assert isinstance(g.states, CompactStates)
         ms = _fired_states(net, g)
         n = len(ms)

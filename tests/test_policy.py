@@ -32,6 +32,7 @@ from fssm import (
     static_blp_check,
 )
 from fssm.corpus import random_net, random_state_secret
+from fssm.statespace import flow_of
 from fssm.policy import And, Const, Contains, CountCmp, ExistsTokenGeq, Not, _flow_violations
 
 
@@ -443,6 +444,54 @@ def test_dynamic_blp_fires_once_per_binding(monkeypatch, net3, net1_leak):
                 assert rep == _fired_blp_report(net, g, cfg), (net, limits, cfg)
                 violated += rep.verdict == "violated"
     assert violated > 50
+
+
+def _edgewise_blp_report(net, g, cfg):
+    """Oracle: the BLP rules on every edge in turn, from its named binding."""
+    found = {}
+    for e in g.edges:
+        flow = flow_of(net, g.bindings[(e.transition, e.binding)])
+        for kind, detail in _flow_violations(net, cfg, e.transition, flow):
+            v = found.get((e.transition, kind))
+            found[(e.transition, kind)] = (
+                Violation(kind, e.transition, e.dst, g.path_to(e.src) + (e.transition,), detail)
+                if v is None
+                else dataclasses.replace(v, count=v.count + 1)
+            )
+    violations = tuple(found[k] for k in sorted(found))
+    verdict = "violated" if violations else "holds_up_to_bound" if g.truncated else "holds"
+    return PolicyReport(verdict, violations, g.stats, g.truncated)
+
+
+def test_dynamic_blp_runs_the_rules_once_per_label(monkeypatch):
+    """The rules run once per distinct (transition, digest) label, and the
+    violations, counts and witnesses equal the edge-by-edge evaluation."""
+    import fssm.policy as policy
+
+    calls = []
+
+    def counting(net, cfg, t_id, flow):
+        calls.append(t_id)
+        return _flow_violations(net, cfg, t_id, flow)
+
+    rng = random.Random(3131)
+    cfgs = [BlpConfig(), BlpConfig(no_read_up=False), BlpConfig(containment=False)]
+    repeated = counted = 0
+    for _ in range(80):
+        net, _ = random_net(rng, max_states=30)
+        for limits in (None, ExploreLimits(max_states=5), ExploreLimits(max_depth=2)):
+            g = explore(net, limits)
+            labels = {(e.transition, e.binding) for e in g.edges}
+            repeated += len(labels) < len(g.edges)
+            for cfg in cfgs:
+                calls.clear()
+                with monkeypatch.context() as m:
+                    m.setattr(policy, "_flow_violations", counting)
+                    rep = dynamic_blp_check(net, cfg, graph=g)
+                assert len(calls) == len(labels), (net, limits)
+                assert rep == _edgewise_blp_report(net, g, cfg), (net, limits, cfg)
+                counted += any(v.count > 1 for v in rep.violations)
+    assert repeated > 50 and counted > 50
 
 
 def test_blp_detail_follows_reference_arrangement(lat2):

@@ -22,9 +22,23 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
             ["--counters", "2", "--bound", "3"],
             "explore (every counter read): 16 states, 24 edges",
         ),
+        ("bench_statespace.py", ["--counters", "2", "--bound", "3"], "peak RSS after explore: "),
+        ("bench_statespace.py", ["--counters", "2", "--bound", "3"], "dot (markings): 1,701 bytes"),
+        (
+            "bench_statespace.py",
+            ["--counters", "2", "--bound", "3"],
+            "dynamic BLP: holds, 0 violation(s)",
+        ),
         ("sweep_opacity.py", ["--instances", "5"], "5 instances"),
     ],
-    ids=["bench_statespace", "bench_statespace_reading", "sweep_opacity"],
+    ids=[
+        "bench_statespace",
+        "bench_statespace_reading",
+        "bench_statespace_rss",
+        "bench_statespace_dot",
+        "bench_statespace_blp",
+        "sweep_opacity",
+    ],
 )
 def test_script_runs(script, args, expected):
     proc = subprocess.run(

@@ -1,6 +1,7 @@
 """Operational semantics and reachability, cross-checked against a naive
 interpreter written from the firing rule alone."""
 
+import dataclasses
 import itertools
 import random
 from collections import Counter
@@ -16,11 +17,14 @@ from fssm import (
     DataToken,
     ExploreLimits,
     FssmError,
+    GraphEdge,
     LimitExceeded,
     Marking,
     NotEnabled,
     Place,
+    ReachabilityGraph,
     TaskTransition,
+    brute_force_opacity,
     build_lattice,
     build_net,
     enabled_bindings,
@@ -29,8 +33,16 @@ from fssm import (
     marking_of,
     to_dot,
 )
-from fssm.corpus import random_net
-from conftest import make_net
+from fssm.corpus import (
+    bench_counter_net,
+    random_monitor,
+    random_net,
+    random_obs,
+    random_state_secret,
+)
+from fssm.noninterference import graph_adjacency
+from fssm.statespace import EdgeColumns
+from conftest import explored_graphs, make_net
 
 
 # --------------------------------------------------------------------------
@@ -614,3 +626,149 @@ def test_explore_renders_each_signature_once(monkeypatch):
     g = explore(bench_counter_net(counters=2, bound=5))
     assert len(g.edges) == 60
     assert 0 < len(calls) == len(set(calls)) <= len(g.bindings)
+
+
+# --------------------------------------------------------------------------
+# the edges are int columns, read through a lazy sequence of GraphEdges
+
+
+def _reference_edges(net, g, limits):
+    """Each state's edges rebuilt on the reference semantics: every enabled
+    binding fired, kept when the graph has its successor.  States at the
+    depth limit keep none."""
+    index = {m: i for i, m in enumerate(g.states)}
+    max_depth = limits.max_depth if limits else None
+    out = []
+    for i, m in enumerate(g.states):
+        if max_depth is not None and g.depths[i] >= max_depth:
+            continue
+        for b in enabled_bindings(net, m):
+            try:
+                m2, _ = fire(net, m, b)
+            except CapacityExceeded:
+                continue
+            if m2 in index:
+                out.append(GraphEdge(i, b.transition, b.digest, index[m2]))
+    return tuple(out)
+
+
+def _edge_cases(net3, seed):
+    """(net, limits, graph): fixtures, the counter grid, and random nets
+    whole, truncated by states or depth, and from a second initial."""
+    rng = random.Random(seed)
+    counter = bench_counter_net(counters=2, bound=4)
+    cases = [(net3, None, explore(net3)), (counter, None, explore(counter))]
+    cases.append((counter, ExploreLimits(max_states=7), explore(counter, ExploreLimits(max_states=7))))
+    cases += explored_graphs(rng, 40)
+    assert any(limits and limits.initial == 1 for _, limits, _ in cases)
+    assert sum(g.truncated for _, _, g in cases) > 10
+    return cases
+
+
+def test_lazy_edges_keep_the_sequence_contract(net3):
+    for net, limits, g in _edge_cases(net3, 4711):
+        ref = _reference_edges(net, g, limits)
+        edges = g.edges
+        n = len(ref)
+        assert isinstance(edges, EdgeColumns) and edges is g.columns
+        assert len(edges) == n == g.stats.edges
+        assert tuple(edges) == ref and list(edges) == list(ref)
+        assert all(type(e) is GraphEdge for e in edges)
+        assert [edges[k] for k in range(n)] == list(ref)
+        assert [edges[-k] for k in range(1, n + 1)] == [ref[-k] for k in range(1, n + 1)]
+        assert edges[1:3] == ref[1:3] and edges[::-1] == ref[::-1] and edges[1::2] == ref[1::2]
+        with pytest.raises(IndexError):
+            edges[n]
+        with pytest.raises(IndexError):
+            edges[-n - 1]
+        if n:
+            assert edges[0]._replace(dst=-1) == ref[0]._replace(dst=-1)
+        # equal to the tuple, both ways, and to views of the same edges
+        assert edges == ref and ref == edges and hash(edges) == hash(ref)
+        assert edges != list(ref)
+        if n > 1:
+            assert edges != ref[:-1] and edges != ref[::-1]
+        again = explore(net, limits)
+        assert again.edges == edges and again.edges is not edges and again == g
+        padded = EdgeColumns.of(ref, len(g.states) + 2)  # two edgeless states more
+        assert padded == edges and edges == padded
+        assert dataclasses.replace(g, edges=ref) == g
+
+
+def test_path_to_follows_the_discovery_edges(net3):
+    for net, limits, g in _edge_cases(net3, 4712):
+        ref = _reference_edges(net, g, limits)
+        assert g.parent_edge[0] == g.parents[0] == -1 and g.path_to(0) == ()
+        for i in range(1, len(g.states)):
+            path, s = [], i
+            while s != 0:
+                e = ref[g.parent_edge[s]]
+                assert e.dst == s and e.src == g.parents[s]
+                path.append(e.transition)
+                s = e.src
+            assert g.path_to(i) == tuple(reversed(path))
+            assert len(path) == g.depths[i]
+
+
+def _adjacency_of(edges, n, obs):
+    """Oracle: adjacency rows read edge by edge from a tuple."""
+    rows = [[] for _ in range(n)]
+    for e in edges:
+        rows[e.src].append((obs.symbol_of(e.transition), e.dst, e.transition))
+    return rows
+
+
+def _sorted_exposed(v, rename=lambda s: s):
+    """``v`` with each exposed node's state renamed and the nodes sorted."""
+    if v.exposed is None:
+        return v
+
+    def one(node):
+        s, sep, q = node[1:].partition("|")
+        return f"s{rename(int(s))}{sep}{q}"
+
+    return dataclasses.replace(v, exposed=tuple(sorted(map(one, v.exposed))))
+
+
+def test_hand_built_graphs_read_like_their_edge_tuple():
+    """Graphs built from a tuple of edges keep it, in any order, and read
+    like it: the shape of ``test_state_numbering_invariance`` (states
+    renumbered, so edges are not grouped by source) and that of the
+    perfbench reference (no digests, no discovery tree)."""
+    rng = random.Random(5150)
+    ungrouped = verdicts = 0
+    for _ in range(60):
+        net, g = random_net(rng, acyclic=True, max_states=20)
+        n = len(g.states)
+        ref = tuple(g.edges)
+        perm = [0] + rng.sample(range(1, n), n - 1)
+        inv = [0] * n
+        for old, new in enumerate(perm):
+            inv[new] = old
+        numbered = ReachabilityGraph(
+            states=tuple(g.states[inv[i]] for i in range(n)),
+            edges=tuple(e._replace(src=perm[e.src], dst=perm[e.dst]) for e in ref),
+            truncated=g.truncated,
+            initial_index=0,
+            parent_edge=tuple(g.parent_edge[inv[i]] for i in range(n)),
+            depths=tuple(g.depths[inv[i]] for i in range(n)),
+        )
+        reference = ReachabilityGraph(
+            states=tuple(g.states),
+            edges=tuple(GraphEdge(e.src, e.transition, "", e.dst) for e in rng.sample(ref, len(ref))),
+            truncated=False, initial_index=0, parent_edge=(), depths=(),
+        )
+        srcs = [e.src for e in numbered.edges]
+        ungrouped += srcs != sorted(srcs)
+        obs = random_obs(rng, net)
+        for h in (numbered, reference):
+            assert type(h.edges) is tuple and len(h.columns) == len(ref)
+            assert graph_adjacency(h, obs) == _adjacency_of(h.edges, n, obs)
+        assert [numbered.path_to(perm[i]) for i in range(n)] == [g.path_to(i) for i in range(n)]
+        for secret in (random_state_secret(rng, net), random_monitor(rng, net)):
+            want = brute_force_opacity(g, net, obs, secret, n + 1)
+            assert brute_force_opacity(reference, net, obs, secret, n + 1) == want
+            got = brute_force_opacity(numbered, net, obs, secret, n + 1)
+            assert _sorted_exposed(got) == _sorted_exposed(want, perm.__getitem__)
+            verdicts += not want.opaque
+    assert ungrouped > 10 and verdicts > 10
