@@ -40,9 +40,10 @@ class SecurityLattice:
     def __post_init__(self):
         object.__setattr__(self, "_level_set", frozenset(self.levels))
 
-    def check_level(self, a: str) -> None:
+    def check_level(self, a: str, path: str | None = None) -> None:
+        """Raise ``UnknownLevel``, located at document ``path``, unless ``a`` is a level."""
         if a not in self._level_set:
-            raise UnknownLevel(f"unknown security level {a!r}")
+            raise UnknownLevel(f"unknown security level {a!r}", path=path)
 
     def leq(self, a: str, b: str) -> bool:
         """True iff information at ``a`` may flow to ``b``."""

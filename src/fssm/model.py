@@ -2,8 +2,8 @@
 
 A net couples a security lattice with a coloured-Petri-net-like structure
 whose tokens carry a (class, level) pair and nothing else.  ``build_net``
-performs all structural validation; the result and all ``Marking`` values
-are immutable.
+performs all structural validation and names the element at fault by its
+path in a model file; the result and all ``Marking`` values are immutable.
 """
 
 from __future__ import annotations
@@ -179,45 +179,50 @@ def build_net(
     transitions: Iterable[TaskTransition],
     initials: Iterable[Marking],
 ) -> FssmNet:
-    """Validate and assemble a net.
+    """Validate and assemble a net; the one structural validator.
 
-    Establishes: unique ids per kind, resolvable references, known levels,
-    non-empty transitions, capacities and containment on every initial
-    marking.  Entity collections are sorted by id and arcs canonically, so
-    declaration order never influences later analyses.
+    Establishes: valid, unique ids per kind, resolvable references, known
+    levels, positive capacities, non-empty transitions with well-formed
+    arcs, and token classes, containment and capacities on every initial
+    marking.  A fault names its element by its model-file path
+    (``/transitions/0/inputs/1/place``), indexed in argument order.  Entity
+    collections are then sorted by id and arcs canonically, so declaration
+    order never influences later analyses.
     """
-    clouds = sorted(clouds, key=lambda c: c.id)
-    places = sorted(places, key=lambda p: p.id)
-    transitions = sorted(transitions, key=lambda t: t.id)
+    clouds, places, transitions = tuple(clouds), tuple(places), tuple(transitions)
     initials = tuple(initials)
-
-    cloud_by_id = _index("cloud", clouds)
-    place_by_id = _index("place", places)
-    transition_by_id = _index("transition", transitions)
-
-    for c in clouds:
-        lattice.check_level(c.clearance)
-    for p in places:
+    cloud_by_id = _index("cloud", "/clouds", clouds)
+    for i, c in enumerate(clouds):
+        lattice.check_level(c.clearance, f"/clouds/{i}/clearance")
+    place_by_id = _index("place", "/places", places)
+    for i, p in enumerate(places):
         if p.cloud not in cloud_by_id:
-            raise DanglingReference(f"place {p.id!r} references unknown cloud {p.cloud!r}")
-        check_capacity(p)
-
-    transitions = [
-        _validate_transition(t, lattice, cloud_by_id, place_by_id) for t in transitions
-    ]
-    # re-index: validation rebuilds transitions with canonically sorted arcs
-    transition_by_id = {t.id: t for t in transitions}
-
+            raise DanglingReference(
+                f"place {p.id!r} references unknown cloud {p.cloud!r}", path=f"/places/{i}/cloud"
+            )
+        if p.capacity is not None and p.capacity < 1:
+            raise FssmError(
+                f"place {p.id!r} capacity must be positive", path=f"/places/{i}/capacity"
+            )
     if not initials:
-        raise FssmError("at least one initial marking is required")
-    for m in initials:
-        _validate_marking(m, lattice, cloud_by_id, place_by_id)
+        raise FssmError("at least one initial marking is required", path="/initial_markings")
+    for i, m in enumerate(initials):
+        _validate_marking(m, lattice, cloud_by_id, place_by_id, f"/initial_markings/{i}")
+    _index("transition", "/transitions", transitions)
+    transitions = [
+        _validate_transition(t, lattice, cloud_by_id, place_by_id, f"/transitions/{i}")
+        for i, t in enumerate(transitions)
+    ]
 
+    # ids are unique by now, so sorting the items sorts by id alone
+    cloud_by_id = dict(sorted(cloud_by_id.items()))
+    place_by_id = dict(sorted(place_by_id.items()))
+    transition_by_id = dict(sorted((t.id, t) for t in transitions))
     return FssmNet(
         lattice=lattice,
-        clouds=tuple(clouds),
-        places=tuple(places),
-        transitions=tuple(transitions),
+        clouds=tuple(cloud_by_id.values()),
+        places=tuple(place_by_id.values()),
+        transitions=tuple(transition_by_id.values()),
         initials=initials,
         cloud_by_id=cloud_by_id,
         place_by_id=place_by_id,
@@ -225,42 +230,52 @@ def build_net(
     )
 
 
-def _index(kind, items):
+def _index(kind, path, items):
     by_id = {}
-    for item in items:
+    for i, item in enumerate(items):
         if not is_identifier(item.id):
-            raise FssmError(f"invalid {kind} id {item.id!r}")
+            raise FssmError(f"invalid {kind} id {item.id!r}", path=f"{path}/{i}/id")
         if item.id in by_id:
-            raise DuplicateId(f"duplicate {kind} id {item.id!r}")
+            raise DuplicateId(f"duplicate {kind} id {item.id!r}", path=f"{path}/{i}/id")
         by_id[item.id] = item
     return by_id
 
 
-def _validate_transition(t, lattice, cloud_by_id, place_by_id):
+def _validate_transition(t, lattice, cloud_by_id, place_by_id, path):
     if t.cloud not in cloud_by_id:
         raise DanglingReference(
-            f"transition {t.id!r} references unknown cloud {t.cloud!r}"
+            f"transition {t.id!r} references unknown cloud {t.cloud!r}", path=f"{path}/cloud"
         )
-    lattice.check_level(t.clearance)
-    lattice.check_level(t.floor)
+    lattice.check_level(t.clearance, f"{path}/clearance")
+    lattice.check_level(t.floor, f"{path}/floor")
     if not t.inputs and not t.outputs:
-        raise EmptyTransition(f"transition {t.id!r} has no arcs")
-    for arc in t.inputs:
+        raise EmptyTransition(f"transition {t.id!r} has no arcs", path=path)
+    for i, arc in enumerate(t.inputs):
         if arc.place not in place_by_id:
             raise DanglingReference(
-                f"transition {t.id!r} input references unknown place {arc.place!r}"
+                f"transition {t.id!r} input references unknown place {arc.place!r}",
+                path=f"{path}/inputs/{i}/place",
             )
         if arc.mode not in ("take", "read"):
-            raise FssmError(f"transition {t.id!r}: bad arc mode {arc.mode!r}")
+            raise FssmError(
+                f"transition {t.id!r}: bad arc mode {arc.mode!r}", path=f"{path}/inputs/{i}/mode"
+            )
         if arc.pattern != WILDCARD and not is_identifier(arc.pattern):
-            raise FssmError(f"transition {t.id!r}: bad class pattern {arc.pattern!r}")
-    for arc in t.outputs:
+            raise FssmError(
+                f"transition {t.id!r}: bad class pattern {arc.pattern!r}",
+                path=f"{path}/inputs/{i}/class",
+            )
+    for i, arc in enumerate(t.outputs):
         if arc.place not in place_by_id:
             raise DanglingReference(
-                f"transition {t.id!r} output references unknown place {arc.place!r}"
+                f"transition {t.id!r} output references unknown place {arc.place!r}",
+                path=f"{path}/outputs/{i}/place",
             )
         if not is_identifier(arc.klass):
-            raise FssmError(f"transition {t.id!r}: bad output class {arc.klass!r}")
+            raise FssmError(
+                f"transition {t.id!r}: bad output class {arc.klass!r}",
+                path=f"{path}/outputs/{i}/class",
+            )
     # canonical arc order, duplicates (multiplicity) preserved
     inputs = tuple(sorted(t.inputs, key=lambda a: (a.mode, a.place, a.pattern)))
     outputs = tuple(sorted(t.outputs, key=lambda a: (a.place, a.klass)))
@@ -274,42 +289,31 @@ def _validate_transition(t, lattice, cloud_by_id, place_by_id):
     )
 
 
-def _validate_marking(m, lattice, cloud_by_id, place_by_id):
+def _validate_marking(m, lattice, cloud_by_id, place_by_id, path):
     for pid, packed in m.entries:
+        ppath = f"{path}/{pid}"
         if pid not in place_by_id:
-            raise DanglingReference(f"marking references unknown place {pid!r}")
+            raise DanglingReference(f"marking references unknown place {pid!r}", path=ppath)
         place = place_by_id[pid]
         clearance = cloud_by_id[place.cloud].clearance
         total = 0
         for klass, level, count in packed:
             if not is_identifier(klass):
-                raise FssmError(f"bad token class {klass!r} in place {pid!r}")
-            lattice.check_level(level)
+                raise FssmError(f"bad token class {klass!r} in place {pid!r}", path=ppath)
+            lattice.check_level(level, ppath)
             total += count
             if not lattice.leq(level, clearance):
                 raise InitialContainmentViolation(
                     f"token {klass}@{level} in place {pid!r} exceeds cloud "
-                    f"{place.cloud!r} clearance {clearance!r}"
+                    f"{place.cloud!r} clearance {clearance!r}",
+                    path=ppath,
                 )
-        check_load(place, total)
-
-
-def check_capacity(place: Place, path: str | None = None) -> None:
-    """A place's capacity, when it has one, is positive; ``path`` locates
-    a fault in a model document."""
-    if place.capacity is not None and place.capacity < 1:
-        raise FssmError(f"place {place.id!r} capacity must be positive", path=path)
-
-
-def check_load(place: Place, total: int, path: str | None = None) -> None:
-    """An initial marking's ``total`` tokens in ``place`` fit its capacity;
-    ``path`` locates a fault in a model document."""
-    if place.capacity is not None and total > place.capacity:
-        raise CapacityExceeded(
-            f"initial marking puts {total} tokens in place {place.id!r} "
-            f"(capacity {place.capacity})",
-            path=path,
-        )
+        if place.capacity is not None and total > place.capacity:
+            raise CapacityExceeded(
+                f"initial marking puts {total} tokens in place {pid!r} "
+                f"(capacity {place.capacity})",
+                path=ppath,
+            )
 
 
 def without_transitions(net: FssmNet, drop: Iterable[str]) -> FssmNet:

@@ -1,8 +1,9 @@
 """JSON model files: parsing, validation with document paths, canonical
 serialization.
 
-Parsing is strict (unknown keys are schema errors) and delegates semantic
-checks to the builders, annotating their errors with the document path.
+Parsing is strict (unknown keys are schema errors) and checks schema and
+types; the builders check the rest.  ``build_net`` names the net element
+at fault by its document path; other builders' errors get their section's.
 Serialization is canonical and byte-deterministic: sorted keys, entities
 in canonical order, covers reduced to the Hasse relation, fractions as
 integers or "a/b" strings.  parse(serialize(parse(text))) == parse(text).
@@ -29,8 +30,6 @@ from .model import (
     TaskTransition,
     WILDCARD,
     build_net,
-    check_capacity,
-    check_load,
     marking_of,
 )
 from .noninterference import ObsMap, derive_obs, obs_from_dict
@@ -82,13 +81,6 @@ def _at(path: str):
         if getattr(e, "path", None) is None:
             e.path = path
         raise
-
-
-def _level(lat: SecurityLattice, level: str, path: str) -> str:
-    """``level``, once the lattice knows it; a fault is reported at ``path``."""
-    with _at(path):
-        lat.check_level(level)
-    return level
 
 
 def _require(obj, key: str, kind, path: str):
@@ -166,7 +158,7 @@ def parse_model(text: str) -> ModelBundle:
 
     lat = _parse_lattice(_require(doc, "lattice", dict, ""))
     clouds = [
-        _parse_cloud(c, lat, f"/clouds/{i}")
+        _parse_cloud(c, f"/clouds/{i}")
         for i, c in enumerate(_opt(doc, "clouds", list, "", []))
     ]
     places = [
@@ -180,19 +172,18 @@ def parse_model(text: str) -> ModelBundle:
     initial_docs = _opt(doc, "initial_markings", list, "", [{}])
     if not initial_docs:
         raise SchemaError("at least one initial marking is required", path="/initial_markings")
-    place_by_id = {p.id: p for p in places}
+    place_ids = {p.id for p in places}
     initials = [
-        _parse_marking(m, lat, place_by_id, f"/initial_markings/{i}")
+        _parse_marking(m, lat, place_ids, f"/initial_markings/{i}")
         for i, m in enumerate(initial_docs)
     ]
-    with _at("/"):
-        net = build_net(
-            lattice=lat,
-            clouds=clouds,
-            places=places,
-            transitions=transitions,
-            initials=initials,
-        )
+    net = build_net(
+        lattice=lat,
+        clouds=clouds,
+        places=places,
+        transitions=transitions,
+        initials=initials,
+    )
 
     obs_maps = []
     for name, spec in sorted(_opt(doc, "observations", dict, "", {}).items()):
@@ -204,7 +195,8 @@ def parse_model(text: str) -> ModelBundle:
     for name, level in sorted(_opt(doc, "observers", dict, "", {}).items()):
         if not isinstance(level, str):
             raise SchemaError("observer alias must be a level name", path=f"/observers/{name}")
-        observers.append((name, _level(lat, level, f"/observers/{name}")))
+        lat.check_level(level, f"/observers/{name}")
+        observers.append((name, level))
 
     workflow = None
     cloud_specs: tuple[CloudSpec, ...] = ()
@@ -243,13 +235,13 @@ def _parse_lattice(obj) -> SecurityLattice:
         return build_lattice(levels, covers)
 
 
-def _parse_cloud(obj, lat: SecurityLattice, path: str) -> Cloud:
+def _parse_cloud(obj, path: str) -> Cloud:
     if not isinstance(obj, dict):
         raise SchemaError("cloud must be an object", path=path)
     _no_extras(obj, {"id", "clearance"}, path)
     return Cloud(
         id=_require(obj, "id", str, path),
-        clearance=_level(lat, _require(obj, "clearance", str, path), f"{path}/clearance"),
+        clearance=_require(obj, "clearance", str, path),
     )
 
 
@@ -260,13 +252,11 @@ def _parse_place(obj, path: str) -> Place:
     capacity = _opt(obj, "capacity", int, path, None)
     if isinstance(capacity, bool):
         raise SchemaError("wrong type for key", path=f"{path}/capacity")
-    place = Place(
+    return Place(
         id=_require(obj, "id", str, path),
         cloud=_require(obj, "cloud", str, path),
         capacity=capacity,
     )
-    check_capacity(place, f"{path}/capacity")
-    return place
 
 
 def _parse_transition(obj, lat: SecurityLattice, path: str) -> TaskTransition:
@@ -301,22 +291,23 @@ def _parse_transition(obj, lat: SecurityLattice, path: str) -> TaskTransition:
     return TaskTransition(
         id=_require(obj, "id", str, path),
         cloud=_require(obj, "cloud", str, path),
-        clearance=_level(lat, _require(obj, "clearance", str, path), f"{path}/clearance"),
-        floor=_level(lat, _opt(obj, "floor", str, path, lat.bottom), f"{path}/floor"),
+        clearance=_require(obj, "clearance", str, path),
+        floor=_opt(obj, "floor", str, path, lat.bottom),
         inputs=tuple(inputs),
         outputs=tuple(outputs),
     )
 
 
-def _parse_marking(obj, lat: SecurityLattice, place_by_id: dict, path: str) -> Marking:
+def _parse_marking(obj, lat: SecurityLattice, place_ids: set, path: str) -> Marking:
     if not isinstance(obj, dict):
         raise SchemaError("marking must be an object", path=path)
     contents: dict[str, list[tuple[str, str, int]]] = {}
     for pid, tokens in obj.items():
         if not isinstance(tokens, list):
             raise SchemaError("expected a token list", path=f"{path}/{pid}")
-        # checked here: ``Marking`` drops a place whose token list is empty
-        if pid not in place_by_id:
+        # checked here: ``Marking`` drops a place whose token list is empty,
+        # so ``build_net`` never sees it
+        if not tokens and pid not in place_ids:
             raise DanglingReference(
                 f"marking references unknown place {pid!r}", path=f"{path}/{pid}"
             )
@@ -329,14 +320,11 @@ def _parse_marking(obj, lat: SecurityLattice, place_by_id: dict, path: str) -> M
             count = _require(tok, "count", int, tpath)
             if isinstance(count, bool) or count < 1:
                 raise SchemaError("count must be a positive integer", path=f"{tpath}/count")
-            entries.append(
-                (
-                    _require(tok, "class", str, tpath),
-                    _level(lat, _require(tok, "level", str, tpath), f"{tpath}/level"),
-                    count,
-                )
-            )
-        check_load(place_by_id[pid], sum(count for _, _, count in entries), f"{path}/{pid}")
+            klass = _require(tok, "class", str, tpath)
+            level = _require(tok, "level", str, tpath)
+            # checked here: the canonical ``Marking`` forgets the token's index
+            lat.check_level(level, f"{tpath}/level")
+            entries.append((klass, level, count))
         contents[pid] = entries
     return marking_of(contents)
 
@@ -355,7 +343,8 @@ def _parse_obs(spec, net: FssmNet, path: str) -> ObsMap:
                 raise SchemaError(
                     'default must be "by_clearance:<level>"', path=f"{path}/default"
                 )
-            fallback_level = _level(net.lattice, sym[len(_BY_CLEARANCE):], f"{path}/default")
+            fallback_level = sym[len(_BY_CLEARANCE):]
+            net.lattice.check_level(fallback_level, f"{path}/default")
             continue
         if sym is not None and not isinstance(sym, str):
             raise SchemaError("symbol must be a string or null", path=f"{path}/{tid}")

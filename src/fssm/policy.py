@@ -182,7 +182,7 @@ class CountCmp(PredicateExpr):
             raise UnresolvedReference(f"predicate references unknown place {self.place!r}")
         if self.op not in _CMP:
             raise UnresolvedReference(f"unknown comparison {self.op!r}")
-        if not isinstance(self.n, int) or self.n < 0:
+        if isinstance(self.n, bool) or not isinstance(self.n, int) or self.n < 0:
             raise UnresolvedReference(f"count bound must be a non-negative integer, got {self.n!r}")
 
     def eval(self, net, m):
@@ -294,17 +294,17 @@ def _parse(obj) -> PredicateExpr:
         raise UnresolvedReference(f"malformed predicate: {obj!r}")
     (key, val), = obj.items()
     if key == "contains":
-        if not isinstance(val, list) or not 1 <= len(val) <= 2:
+        if not _strings(val, 1, 2):
             raise UnresolvedReference("contains expects [place] or [place, class]")
-        return Contains(str(val[0]), str(val[1]) if len(val) == 2 else None)
+        return Contains(*val)
     if key == "exists_token_geq":
-        if not isinstance(val, list) or len(val) != 2:
+        if not _strings(val, 2, 2):
             raise UnresolvedReference("exists_token_geq expects [cloud, level]")
-        return ExistsTokenGeq(str(val[0]), str(val[1]))
+        return ExistsTokenGeq(*val)
     if key == "count":
-        if not isinstance(val, list) or len(val) != 3:
+        if not isinstance(val, list) or len(val) != 3 or not _strings(val[:2], 2, 2):
             raise UnresolvedReference("count expects [place, op, n]")
-        return CountCmp(str(val[0]), str(val[1]), val[2])
+        return CountCmp(*val)
     if key == "not":
         return Not(_parse(val))
     if key == "and":
@@ -316,6 +316,11 @@ def _parse(obj) -> PredicateExpr:
             raise UnresolvedReference("or expects a list of predicates")
         return Or(tuple(_parse(v) for v in val))
     raise UnresolvedReference(f"unknown predicate operator {key!r}")
+
+
+def _strings(val, lo: int, hi: int) -> bool:
+    """``val`` is a list of ``lo`` to ``hi`` strings."""
+    return isinstance(val, list) and lo <= len(val) <= hi and all(isinstance(x, str) for x in val)
 
 
 def eval_predicate(p: PredicateExpr, net: FssmNet, m: Marking) -> bool:

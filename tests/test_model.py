@@ -157,8 +157,9 @@ def test_capacity_must_be_positive(lat2):
 
 
 def test_at_least_one_initial_marking(lat2):
-    with pytest.raises(FssmError):
+    with pytest.raises(FssmError) as exc:
         build_net(lat2, [], [], [], [])
+    assert str(exc.value) == "/initial_markings: at least one initial marking is required"
 
 
 def test_without_transitions(net3):

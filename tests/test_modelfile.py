@@ -8,13 +8,25 @@ import pytest
 
 from conftest import GOLDEN, fixture_path
 from fssm import (
+    ArcIn,
+    ArcOut,
     CapacityExceeded,
+    Cloud,
     DanglingReference,
+    DuplicateId,
+    EmptyTransition,
     FssmError,
+    InitialContainmentViolation,
     ModelSyntaxError,
+    Place,
     RunMonitor,
     SchemaError,
+    TaskTransition,
     UnknownLevel,
+    UnresolvedReference,
+    build_lattice,
+    build_net,
+    marking_of,
     parse_model,
     serialize_model,
 )
@@ -34,6 +46,14 @@ def doc_of(name: str) -> dict:
 
 def reparse(doc: dict):
     return parse_model(json.dumps(doc))
+
+
+def set_in(doc, *path_and_value):
+    *path, value = path_and_value
+    obj = doc
+    for k in path[:-1]:
+        obj = obj[k]
+    obj[path[-1]] = value
 
 
 # --------------------------------------------------------------------------
@@ -74,7 +94,132 @@ def test_semantic_error_is_annotated_with_path():
     doc["places"][0]["cloud"] = "nowhere"
     with pytest.raises(DanglingReference) as exc:
         reparse(doc)
-    assert exc.value.path == "/"
+    assert exc.value.path == "/places/0/cloud"
+    assert str(exc.value) == "/places/0/cloud: place 'p1' references unknown cloud 'nowhere'"
+
+
+def _net_args(doc: dict):
+    """``build_net``'s arguments for a model document, read field by field."""
+    lat = build_lattice(doc["lattice"]["levels"], [tuple(c) for c in doc["lattice"]["covers"]])
+    transitions = [
+        TaskTransition(
+            id=t["id"],
+            cloud=t["cloud"],
+            clearance=t["clearance"],
+            floor=t.get("floor", lat.bottom),
+            inputs=tuple(ArcIn(a["place"], a["mode"], a.get("class", "*")) for a in t["inputs"]),
+            outputs=tuple(ArcOut(a["place"], a["class"]) for a in t["outputs"]),
+        )
+        for t in doc["transitions"]
+    ]
+    initials = [
+        marking_of({
+            pid: [(tok["class"], tok["level"], tok["count"]) for tok in tokens]
+            for pid, tokens in m.items()
+        })
+        for m in doc["initial_markings"]
+    ]
+    return (
+        lat,
+        [Cloud(**c) for c in doc["clouds"]],
+        [Place(**p) for p in doc["places"]],
+        transitions,
+        initials,
+    )
+
+
+def _net_faults():
+    def f(mutate, error, path, message):
+        ident = error.__name__ + path.replace("/", "-")
+        return pytest.param(mutate, error, path, message, id=ident)
+
+    token = {"class": "d", "level": "Public", "count": 1}
+    t_up = "transition 't_up'"
+    return [
+        f(lambda d: set_in(d, "clouds", 1, "id", "Cpub"),
+          DuplicateId, "/clouds/1/id", "duplicate cloud id 'Cpub'"),
+        f(lambda d: set_in(d, "places", 1, "id", "p1"),
+          DuplicateId, "/places/1/id", "duplicate place id 'p1'"),
+        f(lambda d: d["transitions"].append(copy.deepcopy(d["transitions"][0])),
+          DuplicateId, "/transitions/1/id", "duplicate transition id 't_up'"),
+        f(lambda d: set_in(d, "places", 0, "id", "p 1"),
+          FssmError, "/places/0/id", "invalid place id 'p 1'"),
+        f(lambda d: set_in(d, "clouds", 0, "clearance", "Zed"),
+          UnknownLevel, "/clouds/0/clearance", "unknown security level 'Zed'"),
+        f(lambda d: set_in(d, "places", 1, "capacity", 0),
+          FssmError, "/places/1/capacity", "place 'p2' capacity must be positive"),
+        f(lambda d: set_in(d, "transitions", 0, "cloud", "nowhere"),
+          DanglingReference, "/transitions/0/cloud",
+          f"{t_up} references unknown cloud 'nowhere'"),
+        f(lambda d: set_in(d, "transitions", 0, "clearance", "Zed"),
+          UnknownLevel, "/transitions/0/clearance", "unknown security level 'Zed'"),
+        f(lambda d: set_in(d, "transitions", 0, "floor", "Zed"),
+          UnknownLevel, "/transitions/0/floor", "unknown security level 'Zed'"),
+        f(lambda d: d["transitions"][0].update(inputs=[], outputs=[]),
+          EmptyTransition, "/transitions/0", f"{t_up} has no arcs"),
+        f(lambda d: set_in(d, "transitions", 0, "inputs", 0, "place", "zz"),
+          DanglingReference, "/transitions/0/inputs/0/place",
+          f"{t_up} input references unknown place 'zz'"),
+        f(lambda d: set_in(d, "transitions", 0, "inputs", 0, "mode", "peek"),
+          FssmError, "/transitions/0/inputs/0/mode", f"{t_up}: bad arc mode 'peek'"),
+        f(lambda d: set_in(d, "transitions", 0, "inputs", 0, "class", "a-b"),
+          FssmError, "/transitions/0/inputs/0/class", f"{t_up}: bad class pattern 'a-b'"),
+        f(lambda d: set_in(d, "transitions", 0, "outputs", 0, "place", "zz"),
+          DanglingReference, "/transitions/0/outputs/0/place",
+          f"{t_up} output references unknown place 'zz'"),
+        f(lambda d: set_in(d, "transitions", 0, "outputs", 0, "class", "a-b"),
+          FssmError, "/transitions/0/outputs/0/class", f"{t_up}: bad output class 'a-b'"),
+        f(lambda d: set_in(d, "initial_markings", 0, {"zz": [token]}),
+          DanglingReference, "/initial_markings/0/zz", "marking references unknown place 'zz'"),
+        f(lambda d: set_in(d, "initial_markings", 0, "p1", 0, "class", "a-b"),
+          FssmError, "/initial_markings/0/p1", "bad token class 'a-b' in place 'p1'"),
+        f(lambda d: set_in(d, "initial_markings", 0, "p1", 0, "level", "Secret"),
+          InitialContainmentViolation, "/initial_markings/0/p1",
+          "token d@Secret in place 'p1' exceeds cloud 'Cpub' clearance 'Public'"),
+        f(lambda d: (set_in(d, "places", 0, "capacity", 1),
+                     set_in(d, "initial_markings", 0, "p1", 0, "count", 2)),
+          CapacityExceeded, "/initial_markings/0/p1",
+          "initial marking puts 2 tokens in place 'p1' (capacity 1)"),
+    ]
+
+
+@pytest.mark.parametrize("mutate,error,path,message", _net_faults())
+def test_net_fault_names_its_element(mutate, error, path, message):
+    doc = copy.deepcopy(doc_of("net1"))
+    mutate(doc)
+    for build in (lambda: reparse(doc), lambda: build_net(*_net_args(doc))):
+        with pytest.raises(error) as exc:
+            build()
+        assert type(exc.value) is error
+        assert (exc.value.path, str(exc.value)) == (path, f"{path}: {message}")
+
+
+def test_schema_fault_is_reported_before_a_semantic_one():
+    doc = doc_of("net1")
+    doc["clouds"][0]["clearance"] = "Zed"
+    doc["transitions"][0]["inputs"][0]["mode"] = 7
+    with pytest.raises(SchemaError) as exc:
+        reparse(doc)
+    assert exc.value.path == "/transitions/0/inputs/0/mode"
+
+
+@pytest.mark.parametrize(
+    "state,message",
+    [
+        ({"contains": ["p1", 5]}, "contains expects [place] or [place, class]"),
+        ({"contains": [5]}, "contains expects [place] or [place, class]"),
+        ({"exists_token_geq": ["Cpub", 1]}, "exists_token_geq expects [cloud, level]"),
+        ({"count": [1, ">=", 1]}, "count expects [place, op, n]"),
+        ({"count": ["p1", ">=", True]}, "count bound must be a non-negative integer, got True"),
+    ],
+    ids=["contains-class", "contains-place", "exists-level", "count-place", "count-bool"],
+)
+def test_state_secret_operands_are_typed(state, message):
+    doc = doc_of("net1")
+    doc["secrets"] = {"bad": {"state": state}}
+    with pytest.raises(UnresolvedReference) as exc:
+        reparse(doc)
+    assert str(exc.value) == f"/secrets/bad/state: {message}"
 
 
 def test_observer_unknown_level():
@@ -146,13 +291,6 @@ def test_obs_map_must_cover_net():
 def _mutations():
     def m(name, fn, path):
         return pytest.param(name, fn, path, id=path.strip("/").replace("/", "-"))
-
-    def set_in(doc, *path_and_value):
-        *path, value = path_and_value
-        obj = doc
-        for k in path[:-1]:
-            obj = obj[k]
-        obj[path[-1]] = value
 
     return [
         m("net1", lambda d: set_in(d, "extra", 1), "/extra"),
