@@ -1,9 +1,14 @@
 #!/usr/bin/env python3
-"""Benchmark reachability exploration and observer determinisation.
+"""Benchmark reachability exploration, observers, SNNI and opacity.
 
 The workload is a product of independent modulo counters, so the state
 count is (bound+1)**counters and every state is reachable. Defaults give
-110_592 states, which a laptop should clear in a few seconds. Explore is
+110_592 states, which a laptop should clear in a few seconds. Every
+counter transition is Secret, so SNNI at Public sees only silent edges and
+at Secret none (the check then stops without building an observer).
+Current-state opacity with the identity map keeps the secret "every
+counter full", the last state in breadth-first order, so the on-demand
+observer expands almost every macro-state before it finds it. Explore is
 timed a second time on the same grid with every increment also reading
 every counter place: there each firing changes the input contents of every
 transition, so the time shows what explore pays when a transition's inputs
@@ -20,10 +25,18 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from fssm import ExploreLimits, dynamic_blp_check, explore, to_dot
+from fssm import (
+    ExploreLimits,
+    check_current_state_opacity,
+    check_snni,
+    dynamic_blp_check,
+    explore,
+    to_dot,
+)
 from fssm.corpus import bench_counter_net
 from fssm.noninterference import obs_from_dict
 from fssm.opacity import build_observer
+from fssm.policy import And, CountCmp
 
 
 def main() -> None:
@@ -73,6 +86,21 @@ def main() -> None:
     t5 = time.perf_counter()
     print(f"observer: {len(obs_silent.macro_states)} macro state(s) in {t5 - t4:.2f}s "
           f"(all silent)")
+
+    # SNNI explores the net itself, so these times include one explore each
+    for level, note in (("Public", "all silent"), ("Secret", "none silent")):
+        t0 = time.perf_counter()
+        v = check_snni(net, level, ExploreLimits(max_states=args.max_states))
+        t1 = time.perf_counter()
+        print(f"snni at {level}: {'holds' if v.holds else 'fails'} in {t1 - t0:.2f}s ({note})")
+
+    full = And(tuple(CountCmp(f"cnt{i}", "=", args.bound) for i in range(args.counters)))
+    t0 = time.perf_counter()
+    v = check_current_state_opacity(g, net, ident, full)
+    t1 = time.perf_counter()
+    verdict = "opaque" if v.opaque else f"not opaque, witness of {len(v.witness)} symbols"
+    print(f"current-state opacity: {verdict} in {t1 - t0:.2f}s "
+          f"(identity map, secret: every counter full)")
 
     reading = bench_counter_net(args.counters, args.bound, read_counters=True)
     t6 = time.perf_counter()

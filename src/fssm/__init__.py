@@ -84,7 +84,7 @@ from .noninterference import (
     check_snni,
     coarsen_obs,
     derive_obs,
-    language_diff_witness,
+    language_diff,
     obs_from_dict,
     project,
 )

@@ -76,13 +76,13 @@ def build_workflow(
 ) -> Workflow:
     """Validated workflow; tasks and edges come out canonically sorted."""
     built_tasks = []
-    seen = set()
-    for tid, touches in tasks:
+    seen: dict[str, int] = {}  # task id -> index in ``tasks``
+    for i, (tid, touches) in enumerate(tasks):
         if not is_identifier(tid):
             raise InvalidWorkflow(f"invalid task id {tid!r}")
         if tid in seen:
             raise DuplicateId(f"duplicate task id {tid!r}")
-        seen.add(tid)
+        seen[tid] = i
         canon = []
         for klass, level in touches:
             if not is_identifier(klass):
@@ -109,6 +109,11 @@ def build_workflow(
             )
         built_edges.append(WorkflowEdge(producer, consumer, klass, level))
     built_edges.sort(key=lambda e: (e.producer, e.consumer, e.klass, e.level))
+    for i, e in enumerate(built_edges):
+        send = f"send_e{i}_{e.producer}_{e.consumer}"  # as synthesize_net names it
+        if send in seen:
+            msg = f"task id {send!r} is the id of edge {i}'s synthesized send transition"
+            raise DuplicateId(msg, path=f"/workflow/tasks/{seen[send]}/id")
 
     indeg = {t.id: 0 for t in built_tasks}
     for e in built_edges:

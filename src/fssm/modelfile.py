@@ -107,9 +107,11 @@ def _no_extras(obj: dict, allowed: set, path: str):
             raise SchemaError(f"unknown key {key!r}", path=f"{path}/{key}")
 
 
-def _str_list(val, path: str) -> list[str]:
-    if not isinstance(val, list) or not all(isinstance(x, str) for x in val):
-        raise SchemaError("expected a list of strings", path=path)
+def _str_list(val, path: str, n=None, message="expected a list of strings") -> list[str]:
+    """A list of strings, of length ``n`` when one is given."""
+    strings = isinstance(val, list) and all(isinstance(x, str) for x in val)
+    if not strings or n not in (None, len(val)):
+        raise SchemaError(message, path=path)
     return val
 
 
@@ -374,15 +376,8 @@ def _parse_secret(spec, net: FssmNet, path: str) -> SecretSpec:
         )
         rules = []
         for i, rule in enumerate(_opt(obj, "edges", list, mpath, [])):
-            if (
-                not isinstance(rule, list)
-                or len(rule) != 3
-                or not all(isinstance(x, str) for x in rule)
-            ):
-                raise SchemaError(
-                    "monitor edge must be [src, transition, dst]", path=f"{mpath}/edges/{i}"
-                )
-            rules.append(tuple(rule))
+            msg = "monitor edge must be [src, transition, dst]"
+            rules.append(tuple(_str_list(rule, f"{mpath}/edges/{i}", 3, msg)))
         with _at(mpath):
             monitor = RunMonitor(
                 states=tuple(states),
@@ -405,28 +400,13 @@ def _parse_workflow(obj, lat: SecurityLattice) -> Workflow:
         _no_extras(t, {"id", "touches"}, tpath)
         touches = []
         for j, pair in enumerate(_opt(t, "touches", list, tpath, [])):
-            if (
-                not isinstance(pair, list)
-                or len(pair) != 2
-                or not all(isinstance(x, str) for x in pair)
-            ):
-                raise SchemaError(
-                    "touch must be [class, level]", path=f"{tpath}/touches/{j}"
-                )
-            touches.append((pair[0], pair[1]))
+            msg = "touch must be [class, level]"
+            touches.append(tuple(_str_list(pair, f"{tpath}/touches/{j}", 2, msg)))
         tasks.append((_require(t, "id", str, tpath), touches))
     edges = []
     for i, e in enumerate(_opt(obj, "edges", list, "/workflow", [])):
-        if (
-            not isinstance(e, list)
-            or len(e) != 4
-            or not all(isinstance(x, str) for x in e)
-        ):
-            raise SchemaError(
-                "edge must be [producer, consumer, class, level]",
-                path=f"/workflow/edges/{i}",
-            )
-        edges.append((e[0], e[1], e[2], e[3]))
+        msg = "edge must be [producer, consumer, class, level]"
+        edges.append(tuple(_str_list(e, f"/workflow/edges/{i}", 4, msg)))
     with _at("/workflow"):
         return build_workflow(tasks, edges, lat)
 

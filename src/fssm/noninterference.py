@@ -1,9 +1,10 @@
 """Trace-based non-interference (SNNI) over reachability graphs.
 
 Observation maps label transitions with symbols or silence; graphs project
-to one deterministic, prefix-closed ``Observer`` via silent closure and
-subset construction, which opacity shares.  SNNI holds when deleting all
-transitions above the observer leaves the projected language unchanged.
+to one deterministic, prefix-closed ``Observer``, determinised on demand by
+silent closure and subset construction, which opacity shares.  SNNI holds
+when deleting all transitions above the observer leaves the projected
+language unchanged.
 """
 
 from __future__ import annotations
@@ -79,20 +80,61 @@ def coarsen_obs(obs: ObsMap, merge: Mapping[str, Optional[str]]) -> ObsMap:
     return ObsMap(entries=entries)
 
 
-@dataclass(frozen=True)
 class Observer:
-    """Deterministic estimator of an observation language (subset construction).
+    """Deterministic estimator of an observation language, determinised on
+    demand over an adjacency like ``graph_adjacency``'s.
 
-    Macro-states are the state sets compatible with an observation, in
-    breadth-first discovery order from macro-state 0; ``edges`` maps
-    (macro, symbol) to macro.  Every macro-state accepts, so the language
-    is prefix-closed.  ``parents[i]`` is the (macro, symbol) that first
-    reached macro-state ``i`` (None for 0), for witness reconstruction.
+    Macro-states are the state sets compatible with an observation, numbered
+    in discovery order from macro-state 0.  ``step(i)`` expands macro-state
+    ``i`` once, symbols in sorted order, and records its ``edges`` ((macro,
+    symbol) -> macro) and each new macro-state's ``parents`` entry (the
+    (macro, symbol) that first reached it).  Every macro-state accepts, so
+    the language is prefix-closed.
     """
 
-    macro_states: tuple[frozenset, ...]
-    edges: Mapping[tuple[int, str], int]
-    parents: tuple[Optional[tuple[int, str]], ...]
+    def __init__(self, rows):
+        self.rows = rows
+        start = self._closure({0})
+        self.macros = [start]  # grows as step() discovers macro-states
+        self._index = {start: 0}
+        self._moves: dict[int, dict[str, int]] = {}
+        self.parents: list[Optional[tuple[int, str]]] = [None]
+        self.edges: dict[tuple[int, str], int] = {}
+
+    @property
+    def macro_states(self) -> tuple[frozenset, ...]:
+        return tuple(self.macros)
+
+    def _closure(self, seed) -> frozenset:
+        # one traversal per target set: a per-state memo is quadratic when
+        # closures overlap
+        rows, todo, acc = self.rows, list(seed), set(seed)
+        while todo:
+            for sym, dst, _ in rows[todo.pop()]:
+                if sym is None and dst not in acc:
+                    acc.add(dst)
+                    todo.append(dst)
+        return frozenset(acc)
+
+    def step(self, i: int) -> dict[str, int]:
+        """Moves symbol -> macro-state out of macro-state ``i``, sorted."""
+        moves = self._moves.get(i)
+        if moves is None:
+            rows, targets = self.rows, {}
+            for s in self.macros[i]:
+                for sym, dst, _ in rows[s]:
+                    if sym is not None:
+                        targets.setdefault(sym, set()).add(dst)
+            moves = self._moves[i] = {}
+            for sym in sorted(targets):
+                t = self._closure(targets[sym])
+                j = self._index.get(t)
+                if j is None:
+                    j = self._index[t] = len(self.macros)
+                    self.macros.append(t)
+                    self.parents.append((i, sym))
+                self.edges[(i, sym)] = moves[sym] = j
+        return moves
 
     def observation_to(self, macro: int) -> tuple[str, ...]:
         path = []
@@ -111,77 +153,39 @@ def graph_adjacency(g: ReachabilityGraph, obs: ObsMap):
     return [entries[a:b] for a, b in zip(cols.offsets, cols.offsets[1:])]
 
 
-def subset_construction(rows) -> Observer:
-    """Observer of an adjacency like ``graph_adjacency``'s, from state 0.
-
-    Symbols are expanded in sorted order, so numbering is deterministic.
-    """
-
-    def closure(seed):
-        todo = list(seed)
-        acc = set(seed)
-        while todo:
-            s = todo.pop()
-            for sym, dst, _ in rows[s]:
-                if sym is None and dst not in acc:
-                    acc.add(dst)
-                    todo.append(dst)
-        return frozenset(acc)
-
-    start = closure({0})
-    macros = [start]
-    index = {start: 0}
-    parents: list[Optional[tuple[int, str]]] = [None]
-    delta: dict[tuple[int, str], int] = {}
-    i = 0
-    while i < len(macros):
-        targets: dict[str, set] = {}
-        for s in macros[i]:
-            for sym, dst, _ in rows[s]:
-                if sym is not None:
-                    targets.setdefault(sym, set()).add(dst)
-        for sym in sorted(targets):
-            t = closure(targets[sym])
-            j = index.get(t)
-            if j is None:
-                j = len(macros)
-                index[t] = j
-                macros.append(t)
-                parents.append((i, sym))
-            delta[(i, sym)] = j
-        i += 1
-    return Observer(macro_states=tuple(macros), edges=delta, parents=tuple(parents))
-
-
 def project(g: ReachabilityGraph, obs: ObsMap) -> Observer:
-    """Observer of g's observation language from its initial state."""
-    return subset_construction(graph_adjacency(g, obs))
+    """Complete observer of g's observation language from its initial state."""
+    observer = Observer(graph_adjacency(g, obs))
+    for i, _ in enumerate(observer.macros):  # the list grows while expanding
+        observer.step(i)
+    return observer
 
 
-def language_diff_witness(a: Observer, b: Observer) -> Optional[tuple[str, ...]]:
-    """Shortest string in L(a) \\ L(b); ties broken lexicographically.
+def language_diff(a: Observer, b: Observer):
+    """Shortest string in L(a) \\ L(b), ties broken lexicographically, and
+    the least string of L(b) \\ L(a) among the pairs searched (or None).
 
-    Both automata accept everywhere, so the difference is exactly the
-    strings a can read and b cannot; a breadth-first product scan with
-    sorted symbols finds the least one.
+    Both accept everywhere, so the strings differ where one side reads a
+    symbol the other cannot.  Pairs (a macro, b macro) are searched breadth
+    first with sorted symbols, each side determinised only as far as the
+    search reaches, up to the first string of L(a) \\ L(b).
     """
-    a_out = [[] for _ in a.macro_states]
-    for (src, sym), dst in sorted(a.edges.items()):
-        a_out[src].append((sym, dst))
-    start = (0, 0)
-    seen = {start}
-    queue = deque([(start, ())])
+    seen = {(0, 0)}
+    queue = deque([((0, 0), ())])
+    escape = None
     while queue:
-        (sa, sb), path = queue.popleft()
-        for sym, ta in a_out[sa]:
-            tb = b.edges.get((sb, sym))
+        (i, j), path = queue.popleft()
+        moves_a, moves_b = a.step(i), b.step(j)
+        if escape is None and not moves_b.keys() <= moves_a.keys():
+            escape = path + (min(moves_b.keys() - moves_a.keys()),)
+        for sym, ta in moves_a.items():
+            tb = moves_b.get(sym)
             if tb is None:
-                return path + (sym,)
-            nxt = (ta, tb)
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append((nxt, path + (sym,)))
-    return None
+                return path + (sym,), escape
+            if (ta, tb) not in seen:
+                seen.add((ta, tb))
+                queue.append(((ta, tb), path + (sym,)))
+    return None, escape
 
 
 @dataclass(frozen=True)
@@ -205,26 +209,30 @@ def check_snni(
     (a None entry there is ignored, visibility comes from the lattice
     alone).  The net is explored once: since low transitions are never
     silent, the purged net's graph is the explored graph without its silent
-    edges.  A truncated exploration yields a bounded verdict; there a
-    candidate witness is reported only when low transitions alone cannot
-    spell it from the initial marking (replayed on the net), so it is
-    real, though shortest only within the explored part.
+    edges (so with none, SNNI holds).  One search over (full, purged) pairs
+    of macro-states stops at the first symbol the purged side cannot read;
+    it also checks that the purged side reads nothing the full side cannot,
+    but after an early stop only on the pairs it visited.  A truncated
+    exploration yields a bounded verdict; there a candidate witness is
+    reported only when low transitions alone cannot spell it from the
+    initial marking (replayed on the net), so it is real, though shortest
+    only within the explored part.
     """
     obs = derive_obs(net, observer_level)
     if symbols:
         # a visible transition's symbol is its own id
         obs = coarsen_obs(obs, {tid: s for tid, s in symbols.items() if s is not None})
     g = explore(net, limits)
+    if all(sym is not None for _, sym in obs.entries):
+        return NIVerdict(holds=True, witness=None, bounded=g.truncated)
     rows = graph_adjacency(g, obs)
-    a = subset_construction(rows)
-    b = subset_construction([[r for r in row if r[0] is not None] for row in rows])
-    backwards = language_diff_witness(b, a)
+    purged = Observer([[r for r in row if r[0] is not None] for row in rows])
+    witness, backwards = language_diff(Observer(rows), purged)
     if backwards is not None:
         raise FssmError(
             "internal: purged language escapes the full language "
             f"(witness {' '.join(backwards)})"
         )
-    witness = language_diff_witness(a, b)
     if witness is not None and g.truncated:
         steps = [{tid for tid, sym in obs.entries if sym == w} for w in witness]
         if _replay_markings(net, steps, g.initial_index):

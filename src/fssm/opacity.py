@@ -13,7 +13,7 @@ from typing import Optional, Union
 
 from .errors import CyclicGraph, DepthTooSmall, FssmError, UnresolvedReference
 from .model import FssmNet
-from .noninterference import ObsMap, graph_adjacency, project, subset_construction
+from .noninterference import ObsMap, Observer, graph_adjacency, project
 from .policy import PredicateExpr, state_flags
 from .statespace import ReachabilityGraph
 
@@ -117,12 +117,18 @@ def _example_run(rows, witness, targets) -> tuple[str, ...]:
 def _estimate(rows, secret_flags, keys, label, bounded):
     """Shared estimator core: find the first all-secret macro-state.
 
-    ``keys[i]`` orders node ``i`` in ``exposed`` and ``label`` renders it.
+    Each macro-state is tested when it is discovered, and the observer is
+    expanded only while every macro-state found so far is tested, so the
+    search stops at the first all-secret one.  ``keys[i]`` orders node ``i``
+    in ``exposed`` and ``label`` renders it.
     """
-    observer = subset_construction(rows)
-    for idx, macro in enumerate(observer.macro_states):
+    observer = Observer(rows)
+    macros = observer.macros
+    tested = expanded = 0
+    while tested < len(macros):
+        macro = macros[tested]
         if all(secret_flags[s] for s in macro):
-            witness = observer.observation_to(idx)
+            witness = observer.observation_to(tested)
             return OpacityVerdict(
                 opaque=False,
                 witness=witness,
@@ -130,6 +136,10 @@ def _estimate(rows, secret_flags, keys, label, bounded):
                 example_secret_run=_example_run(rows, witness, macro),
                 bounded=bounded,
             )
+        tested += 1
+        while tested == len(macros) and expanded < tested:
+            observer.step(expanded)
+            expanded += 1
     return OpacityVerdict(opaque=True, bounded=bounded)
 
 
@@ -227,21 +237,16 @@ def brute_force_opacity(
     if depth < longest:
         raise DepthTooSmall(f"depth {depth} below longest path {longest}")
 
-    if isinstance(secret, RunMonitor):
-        secret.validate(net)
-    else:
-        secret.validate(net)
+    by_run = isinstance(secret, RunMonitor)
+    secret.validate(net)
+    if not by_run:
         state_secret = state_flags(g, net, secret)
 
     groups: dict[tuple[str, ...], dict] = {}
 
     def record(run, o, s, q):
-        if isinstance(secret, RunMonitor):
-            is_secret = q in secret.accepting
-            final = (s, q)
-        else:
-            is_secret = state_secret[s]
-            final = s
+        is_secret = q in secret.accepting if by_run else state_secret[s]
+        final = (s, q) if by_run else s
         grp = groups.setdefault(o, {"all": True, "runs": [], "finals": set()})
         grp["all"] = grp["all"] and is_secret
         grp["finals"].add(final)
@@ -255,12 +260,12 @@ def brute_force_opacity(
         for sym, dst, tid in adj[s]:
             walk(
                 dst,
-                secret.step(q, tid) if isinstance(secret, RunMonitor) else q,
+                secret.step(q, tid) if by_run else q,
                 run + (tid,),
                 o if sym is None else o + (sym,),
             )
 
-    walk(0, secret.initial if isinstance(secret, RunMonitor) else None, (), ())
+    walk(0, secret.initial if by_run else None, (), ())
 
     bad = sorted(
         (o for o, grp in groups.items() if grp["all"]), key=lambda o: (len(o), o)
@@ -270,10 +275,7 @@ def brute_force_opacity(
     witness = bad[0]
     grp = groups[witness]
     run = min(grp["runs"], key=lambda r: (len(r), r))
-    if isinstance(secret, RunMonitor):
-        exposed = tuple(f"s{s}|{q}" for s, q in sorted(grp["finals"]))
-    else:
-        exposed = tuple(f"s{s}" for s in sorted(grp["finals"]))
+    exposed = tuple(f"s{f[0]}|{f[1]}" if by_run else f"s{f}" for f in sorted(grp["finals"]))
     return OpacityVerdict(
         opaque=False, witness=witness, exposed=exposed, example_secret_run=run, bounded=g.truncated
     )

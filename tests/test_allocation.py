@@ -94,6 +94,18 @@ def test_build_workflow_rejections(lat2):
         )
 
 
+def test_build_workflow_rejects_a_synthesized_send_id(lat2):
+    # sorted edges number the send transitions: ("a", "c") is edge 0
+    tasks = [("send_e1_b_c", []), ("c", [("d", "Public")]),
+             ("b", [("d", "Public")]), ("a", [("d", "Public")])]
+    edges = [("b", "c", "d", "Public"), ("a", "c", "d", "Public")]
+    with pytest.raises(DuplicateId) as e:
+        build_workflow(tasks, edges, lat2)
+    assert e.value.path == "/workflow/tasks/0/id"
+    # the same id is free when no edge synthesizes it
+    build_workflow(tasks, edges[:1], lat2)
+
+
 def test_cost_types_reject_negatives():
     with pytest.raises(FssmError):
         CloudSpec(id="C", clearance="Public", exec_cost=-1)

@@ -206,6 +206,18 @@ def test_emit_net_requires_min_cost(capsys):
     assert "--emit-net requires --min-cost" in err
 
 
+def test_task_named_like_a_send_transition_is_exit_2(tmp_path, monkeypatch, capsys):
+    # edge 0 (t1 -> t2) synthesizes the send transition send_e0_t1_t2
+    doc = json.loads((FIXTURES / "wf1.json").read_text())
+    doc["workflow"]["tasks"].append({"id": "send_e0_t1_t2", "touches": []})
+    (tmp_path / "clash.json").write_text(json.dumps(doc))
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, ["allocate", "clash.json", "--min-cost", "--emit-net", "-"])
+    assert (code, out) == (2, "")
+    assert err.startswith("fssm: error: /workflow/tasks/2/id: ")
+    assert "send_e0_t1_t2" in err
+
+
 def test_no_feasible_allocation_is_verdict_not_crash(tmp_path, monkeypatch, capsys):
     doc = json.loads((FIXTURES / "wf1.json").read_text())
     doc["clouds"] = [{"id": "Cpub", "clearance": "Public"}]

@@ -11,6 +11,8 @@ from fssm import (
     Cloud,
     ExploreLimits,
     FssmError,
+    NIVerdict,
+    Observer,
     Place,
     TaskTransition,
     UnknownLevel,
@@ -21,13 +23,15 @@ from fssm import (
     coarsen_obs,
     derive_obs,
     explore,
-    language_diff_witness,
+    language_diff,
     marking_of,
     obs_from_dict,
     project,
     without_transitions,
 )
 from fssm.corpus import random_net, random_obs
+from fssm.noninterference import graph_adjacency
+from fssm.policy import _replay_markings
 
 
 def automaton_language(a, max_len):
@@ -160,8 +164,8 @@ def test_language_diff_witness_shortest_lex_least(net3):
     purged_net = without_transitions(net3, ["t_up"])
     g2 = explore(purged_net)
     purged = project(g2, obs_from_dict({"t_pub": "r", "t_sig": "w"}, purged_net))
-    assert language_diff_witness(full, purged) == ("w",)
-    assert language_diff_witness(purged, full) is None
+    assert language_diff(full, purged)[0] == ("w",)
+    assert language_diff(purged, full)[0] is None
 
 
 # --------------------------------------------------------------------------
@@ -322,3 +326,85 @@ def test_snni_explores_once(net3, monkeypatch):
     monkeypatch.setattr(ni, "explore", counting)
     assert not check_snni(net3, "Public").holds
     assert len(calls) == 1
+
+
+def test_snni_without_silent_transitions_builds_no_observer(net3, monkeypatch):
+    import fssm.noninterference as ni
+    from test_statespace import _generator_net
+
+    def no_observer(rows):
+        raise AssertionError("an Observer was built")
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return explore(*args, **kwargs)
+
+    monkeypatch.setattr(ni, "Observer", no_observer)
+    monkeypatch.setattr(ni, "explore", counting)
+    assert check_snni(net3, "Secret") == NIVerdict(holds=True, witness=None, bounded=False)
+    assert len(calls) == 1
+    net = _generator_net()
+    v = check_snni(net, "Secret", limits=ExploreLimits(max_states=4))
+    assert v == NIVerdict(holds=True, witness=None, bounded=True)
+    assert len(calls) == 2
+
+
+def _complete(rows):
+    a = Observer(rows)
+    for i, _ in enumerate(a.macros):
+        a.step(i)
+    return a
+
+
+def _product_witness(a, b):
+    """Shortest, lexicographically least string in L(a) \\ L(b), by a
+    breadth-first scan of the product of two complete observers."""
+    a_out = [[] for _ in a.macros]
+    for (src, sym), dst in sorted(a.edges.items()):
+        a_out[src].append((sym, dst))
+    seen = {(0, 0)}
+    queue = [((0, 0), ())]
+    for (sa, sb), path in queue:
+        for sym, ta in a_out[sa]:
+            tb = b.edges.get((sb, sym))
+            if tb is None:
+                return path + (sym,)
+            if (ta, tb) not in seen:
+                seen.add((ta, tb))
+                queue.append(((ta, tb), path + (sym,)))
+    return None
+
+
+def _reference_snni(net, level, limits):
+    """SNNI from two complete observers of one graph and their product."""
+    g = explore(net, limits)
+    obs = derive_obs(net, level)
+    rows = graph_adjacency(g, obs)
+    full = project(g, obs)
+    purged = _complete([[r for r in row if r[0] is not None] for row in rows])
+    assert _product_witness(purged, full) is None
+    witness = _product_witness(full, purged)
+    if witness is not None and g.truncated:
+        steps = [{tid for tid, sym in obs.entries if sym == w} for w in witness]
+        if _replay_markings(net, steps, g.initial_index):
+            witness = None
+    return NIVerdict(holds=witness is None, witness=witness, bounded=g.truncated)
+
+
+def test_snni_matches_complete_observers_on_cyclic_nets():
+    # every cap from 1 to one past the state count: truncated and complete
+    rng = random.Random(2024)
+    checks = violations = bounded_violations = 0
+    for _ in range(200):
+        net, g = random_net(rng, acyclic=False, max_states=16)
+        for level in net.lattice.levels:
+            for max_states in range(1, len(g.states) + 2):
+                limits = ExploreLimits(max_states=max_states)
+                v = check_snni(net, level, limits=limits)
+                assert v == _reference_snni(net, level, limits)
+                checks += 1
+                violations += not v.holds
+                bounded_violations += v.bounded and not v.holds
+    assert checks >= 2500 and violations >= 50 and bounded_violations >= 10

@@ -184,6 +184,22 @@ def test_cso_initial_state_secret(net1):
     assert v.example_secret_run == ()
 
 
+def test_cso_stops_at_first_all_secret_macro_state(net1, monkeypatch):
+    import fssm.noninterference as ni
+
+    steps = []
+    step = ni.Observer.step
+    monkeypatch.setattr(ni.Observer, "step", lambda self, i: steps.append(i) or step(self, i))
+    g = explore(net1)
+    obs = obs_from_dict({"t_up": "u"}, net1)
+    # the initial macro-state {s0} is all secret: nothing is expanded
+    assert not check_current_state_opacity(g, net1, obs, Contains("p1", "d")).opaque
+    assert steps == []
+    # {s1} is found by expanding macro-state 0 and is tested there
+    assert not check_current_state_opacity(g, net1, obs, Contains("p2", "d")).opaque
+    assert steps == [0]
+
+
 def test_cso_validates_secret(net1):
     g = explore(net1)
     obs = obs_from_dict({"t_up": "u"}, net1)

@@ -29,6 +29,13 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
             ["--counters", "2", "--bound", "3"],
             "dynamic BLP: holds, 0 violation(s)",
         ),
+        ("bench_statespace.py", ["--counters", "2", "--bound", "3"], "snni at Public: holds"),
+        ("bench_statespace.py", ["--counters", "2", "--bound", "3"], "snni at Secret: holds"),
+        (
+            "bench_statespace.py",
+            ["--counters", "2", "--bound", "3"],
+            "current-state opacity: not opaque, witness of 6 symbols",
+        ),
         ("sweep_opacity.py", ["--instances", "5"], "5 instances"),
     ],
     ids=[
@@ -37,6 +44,9 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
         "bench_statespace_rss",
         "bench_statespace_dot",
         "bench_statespace_blp",
+        "bench_statespace_snni_public",
+        "bench_statespace_snni_secret",
+        "bench_statespace_opacity",
         "sweep_opacity",
     ],
 )
