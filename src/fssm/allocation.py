@@ -238,7 +238,7 @@ def enumerate_valid(
     for _, choices in lists:
         count *= len(choices)
     if count > limit:
-        raise TooManyAllocations(f"{count} valid allocations exceed limit {limit}")
+        raise TooManyAllocations(f"{count} valid allocations exceed limit {limit}", count=count)
     if count == 0:
         return []
     task_ids = [tid for tid, _ in lists]

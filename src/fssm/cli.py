@@ -407,7 +407,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         obj["version"] = __version__
         print(render_report(obj, args.format), end="")
         return 1 if verdict in _FAILING else 0
-    except (FssmError, OSError) as e:
+    except (FssmError, OSError, UnicodeDecodeError) as e:
         print(f"fssm: error: {e}", file=sys.stderr)
         return 2
 

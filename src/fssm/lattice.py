@@ -26,8 +26,10 @@ def is_identifier(name: str) -> bool:
 class SecurityLattice:
     """A finite lattice of classification levels.
 
-    ``order`` holds the full reflexive-transitive <= relation as pairs;
-    ``joins`` and ``meets`` are total binary tables over ``levels``.
+    ``levels`` are sorted and ``level_idx`` numbers them.  ``order`` holds
+    the full reflexive-transitive <= relation as pairs; ``joins`` and
+    ``meets`` are total binary tables over ``levels``, and ``join_idx[i][j]``
+    is the index of the join of levels ``i`` and ``j``.
     """
 
     levels: tuple[str, ...]
@@ -36,13 +38,12 @@ class SecurityLattice:
     bottom: str
     joins: dict[tuple[str, str], str] = field(repr=False)
     meets: dict[tuple[str, str], str] = field(repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_level_set", frozenset(self.levels))
+    level_idx: dict[str, int] = field(repr=False)
+    join_idx: tuple[tuple[int, ...], ...] = field(repr=False)
 
     def check_level(self, a: str, path: str | None = None) -> None:
         """Raise ``UnknownLevel``, located at document ``path``, unless ``a`` is a level."""
-        if a not in self._level_set:
+        if a not in self.level_idx:
             raise UnknownLevel(f"unknown security level {a!r}", path=path)
 
     def leq(self, a: str, b: str) -> bool:
@@ -118,16 +119,16 @@ def build_lattice(level_names: list[str], covers: list[tuple[str, str]]) -> Secu
     by_down = {d: c for c, d in enumerate(down)}
     joins: dict[tuple[str, str], str] = {}
     meets: dict[tuple[str, str], str] = {}
+    join_idx = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
             a, b = levels[i], levels[j]
             lub = by_up.get(up[i] & up[j])
             glb = by_down.get(down[i] & down[j])
-            for bound, what in ((lub, "least upper bound"), (glb, "greatest lower bound")):
-                if bound is None:
-                    raise NotALattice(
-                        f"levels {a!r} and {b!r} have no unique {what}", witness=(a, b)
-                    )
+            if lub is None or glb is None:
+                what = "least upper bound" if lub is None else "greatest lower bound"
+                raise NotALattice(f"levels {a!r} and {b!r} have no unique {what}", witness=(a, b))
+            join_idx[i][j] = join_idx[j][i] = lub
             joins[(a, b)] = joins[(b, a)] = levels[lub]
             meets[(a, b)] = meets[(b, a)] = levels[glb]
 
@@ -137,6 +138,7 @@ def build_lattice(level_names: list[str], covers: list[tuple[str, str]]) -> Secu
         (levels[i], levels[j]) for i in range(n) for j in range(n) if up[i] >> j & 1
     )
     return SecurityLattice(
-        levels=levels, order=order, top=top, bottom=bottom, joins=joins, meets=meets
+        levels=levels, order=order, top=top, bottom=bottom, joins=joins, meets=meets,
+        level_idx=index, join_idx=tuple(map(tuple, join_idx)),
     )
 

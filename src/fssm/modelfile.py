@@ -1,8 +1,9 @@
 """JSON model files: parsing, validation with document paths, canonical
 serialization.
 
-Parsing is strict (unknown keys are schema errors) and checks schema and
-types; the builders check the rest.  ``build_net`` names the net element
+Parsing is strict: one walker checks each object's keys against its spec
+(no unknown key, each key present with its type) before any of its values
+is read; the builders check the rest.  ``build_net`` names the net element
 at fault by its document path; other builders' errors get their section's.
 Serialization is canonical and byte-deterministic: sorted keys, entities
 in canonical order, covers reduced to the Hasse relation, fractions as
@@ -83,33 +84,71 @@ def _at(path: str):
         raise
 
 
-def _require(obj, key: str, kind, path: str):
-    if not isinstance(obj, dict) or key not in obj:
-        raise SchemaError(f"missing required key", path=f"{path}/{key}")
-    val = obj[key]
-    if kind is not None and not isinstance(val, kind):
-        raise SchemaError(f"wrong type for key", path=f"{path}/{key}")
-    return val
+_REQUIRED = object()  # the default of a key that must be present
 
 
-def _opt(obj, key: str, kind, path: str, default):
-    if key not in obj:
-        return default
-    val = obj[key]
-    if kind is not None and not isinstance(val, kind):
-        raise SchemaError(f"wrong type for key", path=f"{path}/{key}")
-    return val
+def _spec(*entries):
+    """A walker spec: its (key, type, default) entries in check order, and their key set."""
+    return entries, frozenset(key for key, _, _ in entries)
 
 
-def _no_extras(obj: dict, allowed: set, path: str):
-    for key in obj:
-        if key not in allowed:
-            raise SchemaError(f"unknown key {key!r}", path=f"{path}/{key}")
+# One spec per kind of object.  They are module constants so that each
+# object's unknown-key test reads a key set built once.
+_TOP = _spec(
+    ("lattice", dict, _REQUIRED), ("clouds", list, ()), ("places", list, ()),
+    ("transitions", list, ()), ("initial_markings", list, ({},)),
+    ("observations", dict, {}), ("secrets", dict, {}), ("observers", dict, {}),
+    ("workflow", dict, None), ("costs", dict, {}),
+)
+_LATTICE = _spec(("levels", list, _REQUIRED), ("covers", list, ()))
+_CLOUD = _spec(("id", str, _REQUIRED), ("clearance", str, _REQUIRED))
+_PLACE = _spec(("id", str, _REQUIRED), ("cloud", str, _REQUIRED), ("capacity", int, None))
+_TRANSITION = _spec(
+    ("id", str, _REQUIRED), ("cloud", str, _REQUIRED), ("clearance", str, _REQUIRED),
+    ("floor", str, None), ("inputs", list, ()), ("outputs", list, ()),
+)
+_ARC_IN = _spec(("place", str, _REQUIRED), ("mode", str, _REQUIRED), ("class", str, WILDCARD))
+_ARC_OUT = _spec(("place", str, _REQUIRED), ("class", str, _REQUIRED))
+_TOKEN = _spec(("count", int, _REQUIRED), ("class", str, _REQUIRED), ("level", str, _REQUIRED))
+_MONITOR = _spec(
+    ("states", list, _REQUIRED), ("initial", str, _REQUIRED),
+    ("accepting", list, ()), ("edges", list, ()),
+)
+_WORKFLOW = _spec(("tasks", list, _REQUIRED), ("edges", list, ()))
+_TASK = _spec(("id", str, _REQUIRED), ("touches", list, ()))
+_COSTS = _spec(("exec", dict, {}), ("transfer", None, 0))
+
+
+def _fields(obj, path: str, what: str, spec) -> list:
+    """The values of ``obj``'s keys in ``spec`` order, defaults filled in.
+
+    Raises ``SchemaError``, first fault first: ``obj`` is not an object; a
+    key outside the spec; then, in spec order, a missing required key or a
+    present value of the wrong type (``None`` accepts any type).
+    """
+    entries, keys = spec
+    if not isinstance(obj, dict):
+        raise SchemaError(f"{what} must be an object", path=path)
+    if not keys.issuperset(obj):
+        key = next(k for k in obj if k not in keys)
+        raise SchemaError(f"unknown key {key!r}", path=f"{path}/{key}")
+    values = []
+    for key, kind, default in entries:
+        if key not in obj:
+            if default is _REQUIRED:
+                raise SchemaError("missing required key", path=f"{path}/{key}")
+            values.append(default)
+            continue
+        val = obj[key]
+        if kind is not None and not isinstance(val, kind):
+            raise SchemaError("wrong type for key", path=f"{path}/{key}")
+        values.append(val)
+    return values
 
 
 def _str_list(val, path: str, n=None, message="expected a list of strings") -> list[str]:
-    """A list of strings, of length ``n`` when one is given."""
-    strings = isinstance(val, list) and all(isinstance(x, str) for x in val)
+    """A list of strings, of length ``n`` when one is given (or a spec's ``()`` default)."""
+    strings = isinstance(val, (list, tuple)) and all(isinstance(x, str) for x in val)
     if not strings or n not in (None, len(val)):
         raise SchemaError(message, path=path)
     return val
@@ -135,43 +174,32 @@ def render_fraction(f: Fraction):
     return int(f) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
-_TOP_KEYS = {
-    "lattice",
-    "clouds",
-    "places",
-    "transitions",
-    "initial_markings",
-    "observations",
-    "secrets",
-    "observers",
-    "workflow",
-    "costs",
-}
-
-
 def parse_model(text: str) -> ModelBundle:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ModelSyntaxError(e.msg, line=e.lineno, column=e.colno)
+    except RecursionError:
+        raise SchemaError("document nested too deeply", path="/")
     if not isinstance(doc, dict):
         raise SchemaError("top level must be an object", path="/")
-    _no_extras(doc, _TOP_KEYS, "")
+    if "costs" in doc and "workflow" not in doc:
+        raise SchemaError("costs given without a workflow", path="/costs")
+    (
+        lattice_doc, cloud_docs, place_docs, transition_docs, initial_docs,
+        obs_docs, secret_docs, observer_docs, workflow_doc, costs_doc,
+    ) = _fields(doc, "", "top level", _TOP)
 
-    lat = _parse_lattice(_require(doc, "lattice", dict, ""))
+    lat = _parse_lattice(lattice_doc)
     clouds = [
-        _parse_cloud(c, f"/clouds/{i}")
-        for i, c in enumerate(_opt(doc, "clouds", list, "", []))
+        Cloud(*_fields(c, f"/clouds/{i}", "cloud", _CLOUD))
+        for i, c in enumerate(cloud_docs)
     ]
-    places = [
-        _parse_place(p, f"/places/{i}")
-        for i, p in enumerate(_opt(doc, "places", list, "", []))
-    ]
+    places = [_parse_place(p, f"/places/{i}") for i, p in enumerate(place_docs)]
     transitions = [
         _parse_transition(t, lat, f"/transitions/{i}")
-        for i, t in enumerate(_opt(doc, "transitions", list, "", []))
+        for i, t in enumerate(transition_docs)
     ]
-    initial_docs = _opt(doc, "initial_markings", list, "", [{}])
     if not initial_docs:
         raise SchemaError("at least one initial marking is required", path="/initial_markings")
     place_ids = {p.id for p in places}
@@ -188,28 +216,22 @@ def parse_model(text: str) -> ModelBundle:
     )
 
     obs_maps = []
-    for name, spec in sorted(_opt(doc, "observations", dict, "", {}).items()):
+    for name, spec in sorted(obs_docs.items()):
         obs_maps.append((name, _parse_obs(spec, net, f"/observations/{name}")))
     secrets = []
-    for name, spec in sorted(_opt(doc, "secrets", dict, "", {}).items()):
+    for name, spec in sorted(secret_docs.items()):
         secrets.append((name, _parse_secret(spec, net, f"/secrets/{name}")))
     observers = []
-    for name, level in sorted(_opt(doc, "observers", dict, "", {}).items()):
+    for name, level in sorted(observer_docs.items()):
         if not isinstance(level, str):
             raise SchemaError("observer alias must be a level name", path=f"/observers/{name}")
         lat.check_level(level, f"/observers/{name}")
         observers.append((name, level))
 
-    workflow = None
-    cloud_specs: tuple[CloudSpec, ...] = ()
-    cost = None
-    if "workflow" in doc:
-        workflow = _parse_workflow(_require(doc, "workflow", dict, ""), lat)
-        cloud_specs, cost = _parse_costs(
-            _opt(doc, "costs", dict, "", {}), net, workflow
-        )
-    elif "costs" in doc:
-        raise SchemaError("costs given without a workflow", path="/costs")
+    workflow, cloud_specs, cost = None, (), None
+    if workflow_doc is not None:
+        workflow = _parse_workflow(workflow_doc, lat)
+        cloud_specs, cost = _parse_costs(costs_doc, net, workflow)
 
     return ModelBundle(
         net=net,
@@ -223,10 +245,10 @@ def parse_model(text: str) -> ModelBundle:
 
 
 def _parse_lattice(obj) -> SecurityLattice:
-    _no_extras(obj, {"levels", "covers"}, "/lattice")
-    levels = _str_list(_require(obj, "levels", list, "/lattice"), "/lattice/levels")
+    levels, cover_docs = _fields(obj, "/lattice", "lattice", _LATTICE)
+    _str_list(levels, "/lattice/levels")
     covers = []
-    for i, pair in enumerate(_opt(obj, "covers", list, "/lattice", [])):
+    for i, pair in enumerate(cover_docs):
         if not isinstance(pair, list) or len(pair) != 2:
             raise SchemaError("cover must be [lo, hi]", path=f"/lattice/covers/{i}")
         lo, hi = pair
@@ -237,64 +259,28 @@ def _parse_lattice(obj) -> SecurityLattice:
         return build_lattice(levels, covers)
 
 
-def _parse_cloud(obj, path: str) -> Cloud:
-    if not isinstance(obj, dict):
-        raise SchemaError("cloud must be an object", path=path)
-    _no_extras(obj, {"id", "clearance"}, path)
-    return Cloud(
-        id=_require(obj, "id", str, path),
-        clearance=_require(obj, "clearance", str, path),
-    )
-
-
 def _parse_place(obj, path: str) -> Place:
-    if not isinstance(obj, dict):
-        raise SchemaError("place must be an object", path=path)
-    _no_extras(obj, {"id", "cloud", "capacity"}, path)
-    capacity = _opt(obj, "capacity", int, path, None)
+    pid, cloud, capacity = _fields(obj, path, "place", _PLACE)
     if isinstance(capacity, bool):
         raise SchemaError("wrong type for key", path=f"{path}/capacity")
-    return Place(
-        id=_require(obj, "id", str, path),
-        cloud=_require(obj, "cloud", str, path),
-        capacity=capacity,
-    )
+    return Place(id=pid, cloud=cloud, capacity=capacity)
 
 
 def _parse_transition(obj, lat: SecurityLattice, path: str) -> TaskTransition:
-    if not isinstance(obj, dict):
-        raise SchemaError("transition must be an object", path=path)
-    _no_extras(obj, {"id", "cloud", "clearance", "floor", "inputs", "outputs"}, path)
+    tid, cloud, clearance, floor, in_docs, out_docs = _fields(obj, path, "transition", _TRANSITION)
+    # loops, not comprehensions: arc lists are short, and a comprehension
+    # costs a call of its own before Python 3.12
     inputs = []
-    for i, arc in enumerate(_opt(obj, "inputs", list, path, [])):
-        apath = f"{path}/inputs/{i}"
-        if not isinstance(arc, dict):
-            raise SchemaError("input arc must be an object", path=apath)
-        _no_extras(arc, {"place", "mode", "class"}, apath)
-        inputs.append(
-            ArcIn(
-                place=_require(arc, "place", str, apath),
-                mode=_require(arc, "mode", str, apath),
-                pattern=_opt(arc, "class", str, apath, WILDCARD),
-            )
-        )
+    for i, arc in enumerate(in_docs):
+        inputs.append(ArcIn(*_fields(arc, f"{path}/inputs/{i}", "input arc", _ARC_IN)))
     outputs = []
-    for i, arc in enumerate(_opt(obj, "outputs", list, path, [])):
-        apath = f"{path}/outputs/{i}"
-        if not isinstance(arc, dict):
-            raise SchemaError("output arc must be an object", path=apath)
-        _no_extras(arc, {"place", "class"}, apath)
-        outputs.append(
-            ArcOut(
-                place=_require(arc, "place", str, apath),
-                klass=_require(arc, "class", str, apath),
-            )
-        )
+    for i, arc in enumerate(out_docs):
+        outputs.append(ArcOut(*_fields(arc, f"{path}/outputs/{i}", "output arc", _ARC_OUT)))
     return TaskTransition(
-        id=_require(obj, "id", str, path),
-        cloud=_require(obj, "cloud", str, path),
-        clearance=_require(obj, "clearance", str, path),
-        floor=_opt(obj, "floor", str, path, lat.bottom),
+        id=tid,
+        cloud=cloud,
+        clearance=clearance,
+        floor=lat.bottom if floor is None else floor,
         inputs=tuple(inputs),
         outputs=tuple(outputs),
     )
@@ -316,14 +302,9 @@ def _parse_marking(obj, lat: SecurityLattice, place_ids: set, path: str) -> Mark
         entries = []
         for i, tok in enumerate(tokens):
             tpath = f"{path}/{pid}/{i}"
-            if not isinstance(tok, dict):
-                raise SchemaError("token must be an object", path=tpath)
-            _no_extras(tok, {"class", "level", "count"}, tpath)
-            count = _require(tok, "count", int, tpath)
+            count, klass, level = _fields(tok, tpath, "token", _TOKEN)
             if isinstance(count, bool) or count < 1:
                 raise SchemaError("count must be a positive integer", path=f"{tpath}/count")
-            klass = _require(tok, "class", str, tpath)
-            level = _require(tok, "level", str, tpath)
             # checked here: the canonical ``Marking`` forgets the token's index
             lat.check_level(level, f"{tpath}/level")
             entries.append((klass, level, count))
@@ -342,9 +323,7 @@ def _parse_obs(spec, net: FssmNet, path: str) -> ObsMap:
     for tid, sym in spec.items():
         if tid == "default":
             if not isinstance(sym, str) or not sym.startswith(_BY_CLEARANCE):
-                raise SchemaError(
-                    'default must be "by_clearance:<level>"', path=f"{path}/default"
-                )
+                raise SchemaError('default must be "by_clearance:<level>"', path=f"{path}/default")
             fallback_level = sym[len(_BY_CLEARANCE):]
             net.lattice.check_level(fallback_level, f"{path}/default")
             continue
@@ -359,61 +338,49 @@ def _parse_obs(spec, net: FssmNet, path: str) -> ObsMap:
 
 
 def _parse_secret(spec, net: FssmNet, path: str) -> SecretSpec:
-    if not isinstance(spec, dict) or len(spec) != 1:
+    if not isinstance(spec, dict) or len(spec) != 1 or spec.keys() - {"state", "monitor"}:
         raise SchemaError('secret must be {"state": ...} or {"monitor": ...}', path=path)
     if "state" in spec:
         with _at(f"{path}/state"):
             return parse_predicate(spec["state"], net)
-    if "monitor" in spec:
-        obj = spec["monitor"]
-        mpath = f"{path}/monitor"
-        if not isinstance(obj, dict):
-            raise SchemaError("monitor must be an object", path=mpath)
-        _no_extras(obj, {"states", "initial", "accepting", "edges"}, mpath)
-        states = _str_list(_require(obj, "states", list, mpath), f"{mpath}/states")
-        accepting = _str_list(
-            _opt(obj, "accepting", list, mpath, []), f"{mpath}/accepting"
+    mpath = f"{path}/monitor"
+    states, initial, accepting, edges = _fields(spec["monitor"], mpath, "monitor", _MONITOR)
+    _str_list(states, f"{mpath}/states")
+    _str_list(accepting, f"{mpath}/accepting")
+    msg = "monitor edge must be [src, transition, dst]"
+    rules = [tuple(_str_list(e, f"{mpath}/edges/{i}", 3, msg)) for i, e in enumerate(edges)]
+    with _at(mpath):
+        monitor = RunMonitor(
+            states=tuple(states),
+            initial=initial,
+            rules=tuple(sorted(rules)),
+            accepting=frozenset(accepting),
         )
-        rules = []
-        for i, rule in enumerate(_opt(obj, "edges", list, mpath, [])):
-            msg = "monitor edge must be [src, transition, dst]"
-            rules.append(tuple(_str_list(rule, f"{mpath}/edges/{i}", 3, msg)))
-        with _at(mpath):
-            monitor = RunMonitor(
-                states=tuple(states),
-                initial=_require(obj, "initial", str, mpath),
-                rules=tuple(sorted(rules)),
-                accepting=frozenset(accepting),
-            )
-            monitor.validate(net)
-        return monitor
-    raise SchemaError('secret must be {"state": ...} or {"monitor": ...}', path=path)
+        monitor.validate(net)
+    return monitor
 
 
 def _parse_workflow(obj, lat: SecurityLattice) -> Workflow:
-    _no_extras(obj, {"tasks", "edges"}, "/workflow")
+    task_docs, edge_docs = _fields(obj, "/workflow", "workflow", _WORKFLOW)
     tasks = []
-    for i, t in enumerate(_require(obj, "tasks", list, "/workflow")):
+    for i, t in enumerate(task_docs):
         tpath = f"/workflow/tasks/{i}"
-        if not isinstance(t, dict):
-            raise SchemaError("task must be an object", path=tpath)
-        _no_extras(t, {"id", "touches"}, tpath)
+        tid, touch_docs = _fields(t, tpath, "task", _TASK)
         touches = []
-        for j, pair in enumerate(_opt(t, "touches", list, tpath, [])):
+        for j, pair in enumerate(touch_docs):
             msg = "touch must be [class, level]"
             touches.append(tuple(_str_list(pair, f"{tpath}/touches/{j}", 2, msg)))
-        tasks.append((_require(t, "id", str, tpath), touches))
-    edges = []
-    for i, e in enumerate(_opt(obj, "edges", list, "/workflow", [])):
-        msg = "edge must be [producer, consumer, class, level]"
-        edges.append(tuple(_str_list(e, f"/workflow/edges/{i}", 4, msg)))
+        tasks.append((tid, touches))
+    msg = "edge must be [producer, consumer, class, level]"
+    edges = [
+        tuple(_str_list(e, f"/workflow/edges/{i}", 4, msg)) for i, e in enumerate(edge_docs)
+    ]
     with _at("/workflow"):
         return build_workflow(tasks, edges, lat)
 
 
 def _parse_costs(obj, net: FssmNet, wf: Workflow):
-    _no_extras(obj, {"exec", "transfer"}, "/costs")
-    exec_spec = _opt(obj, "exec", dict, "/costs", {})
+    exec_spec, transfer = _fields(obj, "/costs", "costs", _COSTS)
     by_cloud: dict[str, tuple[Fraction, tuple]] = {}
     for cid, val in exec_spec.items():
         cpath = f"/costs/exec/{cid}"
@@ -432,15 +399,8 @@ def _parse_costs(obj, net: FssmNet, wf: Workflow):
     for c in net.clouds:
         default, overrides = by_cloud.get(c.id, (Fraction(0), ()))
         with _at(f"/costs/exec/{c.id}"):
-            specs.append(
-                CloudSpec(
-                    id=c.id,
-                    clearance=c.clearance,
-                    exec_cost=default,
-                    overrides=overrides,
-                )
-            )
-    transfer = parse_fraction(_opt(obj, "transfer", None, "/costs", 0), "/costs/transfer")
+            specs.append(CloudSpec(c.id, c.clearance, exec_cost=default, overrides=overrides))
+    transfer = parse_fraction(transfer, "/costs/transfer")
     with _at("/costs/transfer"):
         cost = CostModel(transfer_cost=transfer)
     return tuple(specs), cost

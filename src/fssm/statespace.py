@@ -252,7 +252,8 @@ class _CompiledNet:
     """Integer-indexed view of a net for the exploration hot loop.
 
     Token type ``ty`` numbers every (class, level) the net can hold, in
-    ``DataToken`` order (``ty = class index * len(levels) + level index``):
+    ``DataToken`` order, as the lattice's levels are sorted
+    (``ty = class index * len(levels) + level index``):
     sorted place contents, candidate lists and their product then run in the
     reference's order.  ``tok_class`` and ``tok_level`` give a type's class
     and level index; ``tokens`` builds its ``DataToken`` on first use.
@@ -261,11 +262,7 @@ class _CompiledNet:
     def __init__(self, net: FssmNet):
         lat = net.lattice
         self.net = net
-        self.levels = sorted(lat.levels)
-        self.level_idx = {lv: i for i, lv in enumerate(self.levels)}
-        self.join = [
-            [self.level_idx[lat.joins[(a, b)]] for b in self.levels] for a in self.levels
-        ]
+        self.levels, self.level_idx, self.join = lat.levels, lat.level_idx, lat.join_idx
         self.place_ids = [p.id for p in net.places]
         self.place_idx = {pid: i for i, pid in enumerate(self.place_ids)}
         self.capacity = [p.capacity for p in net.places]

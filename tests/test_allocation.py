@@ -154,8 +154,9 @@ def test_enumerate_wf1(lat2, wf1):
         {"t1": "Cpriv", "t2": "Cpriv"},
         {"t1": "Cpub", "t2": "Cpriv"},
     ]
-    with pytest.raises(TooManyAllocations):
+    with pytest.raises(TooManyAllocations) as exc:
         enumerate_valid(wf, clouds, lat2, limit=1)
+    assert exc.value.count == 2
     with pytest.raises(FssmError):
         enumerate_valid(wf, clouds, lat2, limit=0)
 

@@ -147,6 +147,20 @@ def test_missing_file_is_exit_2(capsys):
     assert err.startswith("fssm: error:")
 
 
+@pytest.mark.parametrize(
+    "content",
+    [b'{"lattice": {"levels": ["caf\xe9"]}}', b"[" * 200_000 + b"]" * 200_000],
+    ids=["not-utf8", "nested-200000-deep"],
+)
+def test_unreadable_model_is_exit_2(tmp_path, monkeypatch, capsys, content):
+    (tmp_path / "bad.json").write_bytes(content)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, ["validate", "bad.json"])
+    assert (code, out) == (2, "")
+    assert err.startswith("fssm: error:")
+    assert "Traceback" not in err
+
+
 def test_schema_error_message_has_path(capsys):
     code, _, err = run(capsys, ["validate", "bad_schema.json"])
     assert code == 2

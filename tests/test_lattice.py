@@ -148,10 +148,14 @@ def test_tables_match_poset_oracle():
         # rebuild the oracle from the order relation's covers: use all pairs
         covers = [(a, b) for (a, b) in lat.order if a != b]
         oracle = PosetOracle(lat.levels, covers)
+        assert list(lat.levels) == sorted(lat.levels)
+        assert [lat.level_idx[a] for a in lat.levels] == list(range(len(lat.levels)))
         for a in lat.levels:
             for b in lat.levels:
                 assert lat.leq(a, b) == oracle.leq(a, b)
                 assert lat.join(a, b) == oracle.lub(a, b)
+                join = lat.join_idx[lat.level_idx[a]][lat.level_idx[b]]
+                assert lat.levels[join] == oracle.lub(a, b)
                 assert lat.meet(a, b) == oracle.glb(a, b)
         assert all(oracle.leq(lat.bottom, x) for x in lat.levels)
         assert all(oracle.leq(x, lat.top) for x in lat.levels)

@@ -2,6 +2,7 @@
 
 import copy
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -201,6 +202,79 @@ def test_schema_fault_is_reported_before_a_semantic_one():
     with pytest.raises(SchemaError) as exc:
         reparse(doc)
     assert exc.value.path == "/transitions/0/inputs/0/mode"
+
+
+def test_top_level_keys_are_checked_before_any_section_is_read():
+    doc = doc_of("net1")
+    doc["lattice"]["levels"] = ["Public", "Public"]
+    doc["clouds"] = {}
+    with pytest.raises(SchemaError) as exc:
+        reparse(doc)
+    assert exc.value.path == "/clouds"
+
+
+# Parser fuzz: seeded single mutations of the fixtures.  Injected keys hold
+# no "/" or "~", so every document path stays a plain key sequence.
+_FUZZ_VALUES = [None, True, 0, -1, 2, 1.5, "", "x", "*", [], ["x"], {}, {"x": 1}]
+_FUZZ_KEYS = ["id", "class", "level", "count", "floor", "x", "state", "costs", "workflow"]
+
+
+def _slots(obj, out: list) -> list:
+    """Append every (container, key) under ``obj`` to ``out``, parents first."""
+    for key in list(obj) if isinstance(obj, dict) else range(len(obj)):
+        out.append((obj, key))
+        if isinstance(obj[key], (dict, list)):
+            _slots(obj[key], out)
+    return out
+
+
+def _mutate(doc: dict, rng) -> None:
+    """Replace, delete, duplicate or inject one value of ``doc`` in place."""
+    slots = _slots(doc, [])
+    kind = rng.choice(("replace", "delete", "duplicate", "inject"))
+    if kind == "inject":
+        objs = [doc] + [c[k] for c, k in slots if isinstance(c[k], dict)]
+        rng.choice(objs)[rng.choice(_FUZZ_KEYS)] = copy.deepcopy(rng.choice(_FUZZ_VALUES))
+        return
+    obj, key = rng.choice([(c, k) for c, k in slots if kind != "duplicate" or isinstance(c, list)])
+    if kind == "replace":
+        # the document's own values make dangling and duplicate references
+        leaves = [c[k] for c, k in slots if not isinstance(c[k], (dict, list))]
+        obj[key] = copy.deepcopy(rng.choice(_FUZZ_VALUES + leaves))
+    elif kind == "delete":
+        del obj[key]
+    else:
+        obj.insert(key, copy.deepcopy(obj[key]))
+
+
+def _resolves(doc, path: str) -> bool:
+    obj = doc
+    for key in filter(None, path.split("/")):
+        if isinstance(obj, list) and key.isdigit() and int(key) < len(obj):
+            obj = obj[int(key)]
+        elif isinstance(obj, dict) and key in obj:
+            obj = obj[key]
+        else:
+            return False
+    return True
+
+
+def test_mutated_fixtures_fail_only_with_a_path_into_the_document():
+    rng = random.Random(20261020)
+    docs = [doc_of(name) for name in FIXTURE_NAMES]
+    accepted = 0
+    for _ in range(2000):
+        doc = copy.deepcopy(rng.choice(docs))
+        _mutate(doc, rng)
+        try:
+            parse_model(json.dumps(doc))
+            accepted += 1
+        except FssmError as e:
+            where = e.path
+            if str(e).endswith(": missing required key"):
+                where = where.rpartition("/")[0]
+            assert where is not None and _resolves(doc, where), (str(e), doc)
+    assert 0 < accepted < 2000
 
 
 @pytest.mark.parametrize(
